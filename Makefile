@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-nonative test-faults serve-smoke bench bench-gate bench-gate-quick bench-mem bench-shootout bench-shootout-quick scenarios scenarios-quick report examples all
+.PHONY: install lint test test-nonative test-faults serve-smoke bench bench-check bench-gate bench-gate-quick bench-mem bench-shootout bench-shootout-quick scenarios scenarios-quick report examples all
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -44,6 +44,13 @@ serve-smoke:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q -s
 
+# The end-to-end benchmark's own tests (every workload quick, untraced and
+# traced).  Its traced pass wraps repro.streaming.run_kernel /
+# stable_hash and the DISCO kernel's state methods from outside, so a
+# streaming refactor must keep it green.
+bench-check:
+	python3 -m pytest bench/test_bench.py -q
+
 bench-gate:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_gate.py
 
@@ -81,4 +88,4 @@ report:
 examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f > /dev/null || exit 1; done; echo "all examples ran"
 
-all: lint test test-nonative test-faults serve-smoke bench bench-gate-quick bench-shootout-quick scenarios-quick
+all: lint test test-nonative test-faults serve-smoke bench bench-check bench-gate-quick bench-shootout-quick scenarios-quick

@@ -174,6 +174,13 @@ class SchemeKernel(abc.ABC):
     #: chunk replays.  Kernels with state the snapshot cannot capture
     #: (none in-tree) leave this False and are rejected by ``stream()``.
     resumable: bool = False
+    #: Whether a lane's update law reads and writes that lane only, with
+    #: no per-replica global state (SAC's scale ``r``, SD's CMA flush,
+    #: ICE's position-based buckets all couple lanes).  A property of
+    #: the law, not an option: streaming replays only a chunk's touched
+    #: lanes for such kernels, which is bit-identical because rows
+    #: without packets sort past the active prefix and draw nothing.
+    lane_local: bool = False
     #: Active-prefix width (in lanes) below which the scalar tail beats a
     #: NumPy column step.  DISCO's 128 is tuned for its dwell-regime tail;
     #: plain arithmetic kernels break even far narrower.
@@ -316,17 +323,7 @@ class SchemeKernel(abc.ABC):
         subset/superset of this one.  Keys absent from ``state`` keep
         their zeroed lanes.
         """
-        if state.replicas != self.replicas:
-            raise ParameterError(
-                f"carried state has {state.replicas} replicas, "
-                f"kernel has {self.replicas}")
-        live = self._state_arrays()
-        carried = state.dense_arrays()
-        for name in carried:
-            if name not in live:
-                raise ParameterError(
-                    f"carried state array {name!r} unknown to "
-                    f"{type(self).__name__}")
+        live, carried = self._carried_arrays(state)
         rows = np.fromiter((state.index.get(key, -1) for key in keys),
                            dtype=np.int64, count=len(keys))
         present = rows >= 0
@@ -339,6 +336,33 @@ class SchemeKernel(abc.ABC):
                 for rep in range(R):
                     target[dst * R + rep] = arr[src * R + rep]
         self._load_state_scalars(dict(state.scalars))
+
+    def load_rows(self, state: KernelState) -> None:
+        """Load carried state by position: row ``i`` fills flow ``i``'s lanes.
+
+        The read-out companion of :meth:`load_state` for a kernel built
+        with ``state.flows`` flows whose ``index`` lists its rows in
+        order: no by-key remap and no kernel-specific re-layout.
+        """
+        live, carried = self._carried_arrays(state)
+        for name, arr in carried.items():
+            live[name][:arr.size] = arr
+        self._load_state_scalars(dict(state.scalars))
+
+    def _carried_arrays(self, state: KernelState):
+        """This kernel's live arrays and ``state``'s dense columns, checked."""
+        if state.replicas != self.replicas:
+            raise ParameterError(
+                f"carried state has {state.replicas} replicas, "
+                f"kernel has {self.replicas}")
+        live = self._state_arrays()
+        carried = state.dense_arrays()
+        for name in carried:
+            if name not in live:
+                raise ParameterError(
+                    f"carried state array {name!r} unknown to "
+                    f"{type(self).__name__}")
+        return live, carried
 
     # -- shared helpers ------------------------------------------------------
 
@@ -423,6 +447,7 @@ class DiscoKernel(SchemeKernel):
     supports_tail = True
     preferred_min_lanes = 128
     resumable = True
+    lane_local = True
 
     def __init__(self, lanes: int, gen: np.random.Generator, replicas: int,
                  b: float, capacity_bits: Optional[int] = None) -> None:
@@ -817,6 +842,7 @@ class AnlsKernel(SchemeKernel):
     supports_tail = True
     preferred_min_lanes = 8
     resumable = True
+    lane_local = True
 
     def __init__(self, lanes: int, gen: np.random.Generator, replicas: int,
                  b: float) -> None:
@@ -1170,6 +1196,7 @@ class ExactKernel(SchemeKernel):
     supports_tail = True
     preferred_min_lanes = 4
     resumable = True
+    lane_local = True
 
     def __init__(self, lanes: int, gen: np.random.Generator,
                  replicas: int) -> None:
@@ -1245,6 +1272,7 @@ class AeeKernel(SchemeKernel):
     supports_tail = True
     preferred_min_lanes = 8
     resumable = True
+    lane_local = True
 
     def __init__(self, lanes: int, gen: np.random.Generator, replicas: int,
                  p: float, total_bits: int) -> None:

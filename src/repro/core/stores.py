@@ -120,8 +120,15 @@ class CounterStore(abc.ABC):
                 f"columns: {self.columns()!r}") from None
 
     @abc.abstractmethod
-    def write(self, name: str, values: np.ndarray) -> None:
-        """Encode a dense column into the store (replacing any previous)."""
+    def write(self, name: str, values: np.ndarray,
+              order: Optional[np.ndarray] = None) -> None:
+        """Encode a dense column into the store (replacing any previous).
+
+        ``order`` (a permutation of the rows) fixes the sequence a
+        randomised encoder visits rows in: it encodes as if
+        ``values[order]`` were written, yet stores rows in natural
+        order.  Deterministic backends ignore it.
+        """
 
     @abc.abstractmethod
     def read(self, name: str) -> np.ndarray:
@@ -188,7 +195,8 @@ class DenseStore(CounterStore):
     name = "dense"
     lossless = True
 
-    def write(self, name: str, values: np.ndarray) -> None:
+    def write(self, name: str, values: np.ndarray,
+              order: Optional[np.ndarray] = None) -> None:
         self._columns[name] = {"data": np.array(values, copy=True)}
 
     def read(self, name: str) -> np.ndarray:
@@ -229,7 +237,8 @@ class PoolStore(CounterStore):
     def _params(self) -> Dict[str, object]:
         return {"pool_lanes": self.pool_lanes}
 
-    def write(self, name: str, values: np.ndarray) -> None:
+    def write(self, name: str, values: np.ndarray,
+              order: Optional[np.ndarray] = None) -> None:
         values = np.asarray(values)
         if values.dtype.kind not in "iu":
             self._columns[name] = {"kind": "dense",
@@ -368,13 +377,16 @@ class MorrisStore(CounterStore):
     def _level_dtype(self):
         return np.uint8 if self.bits <= 8 else np.uint16
 
-    def write(self, name: str, values: np.ndarray) -> None:
+    def write(self, name: str, values: np.ndarray,
+              order: Optional[np.ndarray] = None) -> None:
         values = np.asarray(values)
         if values.dtype.kind not in "iu" or (
                 values.size and int(values.min()) < 0):
             self._columns[name] = {"kind": "dense",
                                    "data": np.array(values, copy=True)}
             return
+        if order is not None:
+            values = values[order]
         table = self.table
         top = table.size - 1
         v = values.astype(np.float64)
@@ -388,6 +400,8 @@ class MorrisStore(CounterStore):
                 ^ zlib.crc32(name.encode("utf-8")))
         u = np.random.default_rng(seed).random(v.size)
         levels = (c + (u < frac)).astype(self._level_dtype)
+        if order is not None:
+            levels[order] = levels.copy()
         self._columns[name] = {"kind": "morris", "dtype": values.dtype.str,
                                "levels": levels}
 

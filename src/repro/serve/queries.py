@@ -50,6 +50,7 @@ class QueryEngine:
         self._live_key: Optional[Tuple[int, int]] = None
         self._live_estimates: Dict[str, float] = {}
         self._live_keys: Dict[str, Hashable] = {}
+        self._live_counters: Optional[Dict[Hashable, int]] = None
         # DISCO-family schemes expose their growth base on the counting
         # function (``DiscoSketch.function.b``); probed once at build.
         scheme = session.scheme_factory()
@@ -74,8 +75,16 @@ class QueryEngine:
             raw = self.session.live_estimates()
             self._live_estimates = {str(k): float(v) for k, v in raw.items()}
             self._live_keys = {str(k): k for k in raw}
+            self._live_counters = None
             self._live_key = key
         return self._live_estimates
+
+    def _counters(self) -> Dict[Hashable, int]:
+        """Open-epoch raw counters, cached under the same boundary key."""
+        self._live()
+        if self._live_counters is None:
+            self._live_counters = self.session.live_counters()
+        return self._live_counters
 
     # -- queries -------------------------------------------------------------
 
@@ -87,8 +96,7 @@ class QueryEngine:
         live_estimate = live.get(flow_id)
         confidence = None
         if self.b is not None and flow_id in self._live_keys:
-            counters = self.session.live_counters()
-            counter = counters.get(self._live_keys[flow_id])
+            counter = self._counters().get(self._live_keys[flow_id])
             if counter is not None:
                 ci = confidence_interval(self.b, counter)
                 confidence = {

@@ -12,12 +12,16 @@ reproduces that shape on top of the columnar kernel stack:
   ``(flow, length)`` iterable — so traces never need to fit one replay
   call.
 * The flow space is partitioned across ``S`` shards by
-  :func:`repro.flows.hashing.stable_hash`; each chunk drives every
-  touched shard through one columnar
-  :func:`~repro.core.batchreplay.run_kernel` pass, carrying per-flow
-  kernel state between chunks via
-  :meth:`~repro.core.kernels.SchemeKernel.export_state` /
-  ``load_state`` (the ``resume=`` hook).
+  :func:`repro.flows.hashing.stable_hash`.  Each shard holds its open
+  epoch as one persistent :class:`~repro.core.kernels.KernelState`
+  (``index``: key → lane, lanes numbered first-seen, arrays grown as
+  keys arrive).  A chunk gathers the rows it replays by lane, runs them
+  through one columnar :func:`~repro.core.batchreplay.run_kernel` pass
+  (carry-in via ``resume=``/``load_state``, carry-out via
+  ``export_state``) and scatters them back.  For
+  :attr:`~repro.core.kernels.SchemeKernel.lane_local` kernels the rows
+  are the chunk's keys only, so a chunk costs O(chunk), not O(epoch
+  keys); coupled kernels (SAC, SD, ICE) replay every lane.
 * Shard-chunk replays run serially or over the persistent process pool
   (:func:`repro.harness.parallel.run_tasks`).  Each replay's random
   stream is a pure ``SeedSequence`` child keyed by
@@ -250,24 +254,19 @@ class _ShardChunkTask:
     trace: CompiledTrace
     mode: str
     rng: np.random.SeedSequence
-    state: Optional[KernelState]
+    state: KernelState
     telemetry: bool
-    #: Columnar backend for this chunk ("vector" or "native"); defaulted
-    #: so checkpoints and pickles from older sessions keep loading.
+    #: Columnar backend for this chunk ("vector" or "native").
     engine: str = "vector"
-    #: Counter-store backend the carried-out state is encoded in
-    #: (``None`` = dense); defaulted for the same pickle compatibility.
-    store: Optional[str] = None
 
 
 def _run_shard_chunk(task: _ShardChunkTask):
-    """Replay one shard-chunk, returning its carried-out kernel state.
+    """Replay one shard-chunk, returning its rows' carried-out state.
 
-    The replay itself always runs on dense columns (the scratch view —
-    carried compact state was decoded by ``load_state``); only the
-    carry-*out* between chunks is re-encoded through the task's counter
-    store, so compact backends pay encode/decode once per chunk
-    boundary, never per packet.
+    Carry-in and carry-out are dense: the parent gathers the rows from
+    the shard's lanes (decoding a compact store once) and scatters the
+    exported rows back (re-encoding once), so compact backends pay
+    encode/decode once per chunk boundary, never per packet.
     """
     tel = obs.Telemetry() if task.telemetry else None
     scheme = task.scheme_factory()
@@ -279,42 +278,25 @@ def _run_shard_chunk(task: _ShardChunkTask):
     result = run_kernel(task.trace, spec.factory, mode=task.mode,
                         rng=task.rng, telemetry=tel, resume=task.state,
                         engine=task.engine)
-    state = result.kernel.export_state(task.trace.keys,
-                                       store=getattr(task, "store", None))
+    state = result.kernel.export_state(task.trace.keys)
     return task.shard, state, (tel.snapshot() if tel is not None else None)
 
 
-def _readout(spec, state: KernelState) -> Tuple[Dict[Hashable, float], int]:
-    """Decode a carried shard state: estimates plus max counter width.
+def _readout(spec, state: KernelState) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode a shard state: estimates and raw counters, in ``index`` order.
 
-    Loads the state into a fresh kernel (no packets replayed, so the
-    throwaway generator is never drawn from) and reads the estimator
-    surface — the rotation-time export.
+    A throwaway kernel holds the state (no packets replayed, so its
+    generator is never drawn from).  Lane-local lanes load by position;
+    coupled state loads by key in its last replay's row order, the
+    layout ICE's re-bucketing ran under.
     """
-    keys = list(state.index)
     R = state.replicas
-    kernel = spec.factory(len(keys) * R, np.random.default_rng(0), R)
-    kernel.load_state(keys, state)
-    lane_estimates = kernel.estimates()[::R]
-    estimates = {key: float(e) for key, e in zip(keys, lane_estimates)}
-    max_counter = int(kernel.counters().max(initial=0))
-    bits = max_counter.bit_length() if max_counter > 0 else 0
-    return estimates, bits
-
-
-def _readout_counters(spec, state: KernelState) -> Dict[Hashable, int]:
-    """Decode a carried shard state into raw per-flow counter values.
-
-    The query-side companion of :func:`_readout`: the serve daemon needs
-    the *counter* (not the estimate) to attach a
-    :func:`~repro.core.confidence.confidence_interval` to a live flow.
-    """
-    keys = list(state.index)
-    R = state.replicas
-    kernel = spec.factory(len(keys) * R, np.random.default_rng(0), R)
-    kernel.load_state(keys, state)
-    counters = kernel.counters()[::R]
-    return {key: int(c) for key, c in zip(keys, counters)}
+    kernel = spec.factory(state.flows * R, np.random.default_rng(0), R)
+    if kernel.lane_local:
+        kernel.load_rows(state)
+    else:
+        kernel.load_state(list(state.index), state)
+    return kernel.estimates()[::R], kernel.counters()[::R]
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +347,10 @@ class StreamSession:
         arrays (default, zero regression); ``"pools"`` (lossless
         variable-width Counter Pools) or ``"morris"`` (lossy unbiased
         floating-point counters) encode the carry-state and checkpoints
-        compactly — replays still run on dense scratch columns, the
-        store pays once per chunk boundary.  Persisted in checkpoints
-        and restored with the session.
+        compactly — replays still run on dense scratch columns; each
+        chunk decodes a touched shard's columns once and re-encodes
+        them once.  Persisted in checkpoints and restored with the
+        session.
     telemetry:
         Optional :class:`repro.obs.Telemetry` session; ``stream.*``
         events plus the per-chunk kernel events are recorded per epoch
@@ -436,6 +419,8 @@ class StreamSession:
         self.scheme_name = getattr(scheme, "name", type(scheme).__name__)
         self.mode = spec.mode
         self._spec = spec
+        #: Replay only the chunk's keys (see ``SchemeKernel.lane_local``).
+        self._lane_local = bool(getattr(probe, "lane_local", False))
         self.shards = shards
         self.epoch_packets = epoch_packets
         self.epoch_bytes = epoch_bytes
@@ -459,8 +444,8 @@ class StreamSession:
         self._total_tel = obs.Telemetry() if self._enabled else obs.NULL_TELEMETRY
 
         self._shard_of: Dict[Hashable, int] = {}
-        self._keys: List[Dict[Hashable, None]] = [dict() for _ in range(shards)]
-        self._state: List[Optional[KernelState]] = [None] * shards
+        #: Per shard, the open epoch's lanes.
+        self._state: List[KernelState] = self._empty_states()
         self._truths: List[Dict[Hashable, int]] = [dict() for _ in range(shards)]
 
         self.snapshots: List[EpochSnapshot] = []
@@ -566,10 +551,8 @@ class StreamSession:
         """
         merged: Dict[Hashable, float] = {}
         for state in self._state:
-            if state is None or not state.index:
-                continue
-            estimates, _ = _readout(self._spec, state)
-            merged.update(estimates)
+            merged.update(zip(state.index,
+                              _readout(self._spec, state)[0].tolist()))
         return merged
 
     def live_counters(self) -> Dict[Hashable, int]:
@@ -581,9 +564,8 @@ class StreamSession:
         """
         merged: Dict[Hashable, int] = {}
         for state in self._state:
-            if state is None or not state.index:
-                continue
-            merged.update(_readout_counters(self._spec, state))
+            merged.update(zip(state.index,
+                              _readout(self._spec, state)[1].tolist()))
         return merged
 
     # -- internals -----------------------------------------------------------
@@ -595,81 +577,153 @@ class StreamSession:
             self._shard_of[key] = shard
         return shard
 
-    def _shard_chunk_trace(self, shard: int,
-                           chunk_flows: Dict[Hashable, np.ndarray],
-                           ) -> CompiledTrace:
-        """Compile one shard's slice of the chunk.
+    def _shard_chunk_trace(self, shard: int, keys: List[Hashable],
+                           pos: np.ndarray, sizes: np.ndarray,
+                           sums: np.ndarray,
+                           length_arrays: List[np.ndarray]):
+        """Compile one shard's replay rows for the chunk, with their carry-in.
 
-        The trace covers *every* key the shard has seen this epoch —
-        keys absent from the chunk get zero-packet rows — so the
-        carried-out :class:`KernelState` always spans the shard's full
-        epoch key set (SAC's global renormalisation re-encodes every
-        lane; a partial export would decode stale words under a newer
-        scale).
+        ``pos`` indexes the chunk's keys routed to this shard.  The rows
+        are those keys for a lane-local kernel, else every lane of the
+        shard (untouched ones as zero-packet rows).  Rows sort by
+        descending chunk packets, ties by lane: the order of a slice over
+        every lane, so either row set draws the same uniforms.
+
+        Returns ``(trace, resume, rows, new_keys, columns)``: the carry-in
+        gathered by lane, the rows' lanes, the keys that take lanes
+        ``n, n + 1, ...`` in :meth:`_scatter`, and the decoded columns.
         """
-        keys = list(self._keys[shard])
-        n = len(keys)
-        raw_sizes = np.fromiter(
-            (chunk_flows[k].size if k in chunk_flows else 0 for k in keys),
-            dtype=np.int64, count=n)
-        order = np.argsort(-raw_sizes, kind="stable")
-        sorted_keys = [keys[i] for i in order]
-        sizes = raw_sizes[order]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        lengths = np.empty(int(offsets[-1]), dtype=np.float64)
-        for row, key in enumerate(sorted_keys):
-            if sizes[row]:
-                lengths[offsets[row]:offsets[row + 1]] = chunk_flows[key]
-        # reduceat is only safe on the non-empty segments: zero-size rows
-        # sort to the end, so the non-empty offsets tile `lengths` exactly.
-        volumes = np.zeros(n, dtype=np.int64)
-        nonzero = np.flatnonzero(sizes > 0)
-        if nonzero.size:
-            volumes[nonzero] = np.add.reduceat(
-                lengths, offsets[:-1][nonzero]).astype(np.int64)
-        return CompiledTrace(name=f"{self.name}:shard{shard}",
-                             keys=sorted_keys, lengths=lengths,
-                             offsets=offsets, sizes=sizes, volumes=volumes)
+        state = self._state[shard]
+        n = len(state.index)
+        lanes = np.fromiter((state.index.get(keys[i], -1)
+                             for i in pos.tolist()),
+                            dtype=np.int64, count=pos.size)
+        fresh = np.flatnonzero(lanes < 0)
+        lanes[fresh] = n + np.arange(fresh.size)
+        new_keys = [keys[i] for i in pos[fresh].tolist()]
+        if self._lane_local:
+            rows, src, row_keys = lanes, pos, [keys[i] for i in pos.tolist()]
+        else:
+            rows = np.arange(n + fresh.size)
+            src = np.full(rows.size, -1, dtype=np.int64)
+            src[lanes] = pos
+            row_keys = sorted(state.index, key=state.index.get) + new_keys
+        row_sizes = np.where(src >= 0, sizes[src], 0)
+        order = np.lexsort((rows, -row_sizes))
+        rows, src, row_sizes = rows[order], src[order], row_sizes[order]
+        row_keys = [row_keys[i] for i in order.tolist()]
+        active = src[row_sizes > 0]
+        offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(row_sizes, out=offsets[1:])
+        lengths = np.concatenate([length_arrays[i] for i in active.tolist()]
+                                 or [np.zeros(0)])
+        trace = CompiledTrace(
+            name=f"{self.name}:shard{shard}", keys=row_keys, lengths=lengths,
+            offsets=offsets, sizes=row_sizes,
+            volumes=np.where(row_sizes > 0, sums[src], 0).astype(np.int64))
+        columns = state.dense_arrays()
+        carried = np.flatnonzero(rows < n)
+        resume = KernelState(
+            index={row_keys[i]: j for j, i in enumerate(carried.tolist())},
+            arrays={name: col[rows[carried]] for name, col in columns.items()},
+            scalars=state.scalars, replicas=state.replicas)
+        return trace, resume, rows, new_keys, columns
+
+    def _scatter(self, shard: int, carried: KernelState,
+                 trace: CompiledTrace, rows: np.ndarray,
+                 new_keys: List[Hashable],
+                 columns: Dict[str, np.ndarray]) -> None:
+        """Commit one shard-chunk: add its new lanes, write its rows back.
+
+        A compact store re-encodes every lane, replayed rows first: the
+        layout of a slice over every lane, so a Morris encode draws the
+        same randomness whichever row set ran.
+        """
+        state = self._state[shard]
+        n = len(state.index)
+        if self._lane_local:
+            state.index.update(zip(new_keys, range(n, n + len(new_keys))))
+        else:
+            # Every lane was replayed: keep the index in row order, the
+            # layout read-outs load coupled state in.
+            state.index = dict(zip(trace.keys, rows.tolist()))
+        total = len(state.index) * state.replicas
+        for name, out in carried.arrays.items():
+            col = columns.get(name, out[:0])
+            if col.size < total:
+                col = np.concatenate([col, np.zeros(total - col.size,
+                                                    col.dtype)])
+            col[rows] = out
+            columns[name] = col
+        state.scalars = carried.scalars
+        if state.store is None:
+            state.arrays = columns
+            return
+        active = rows[trace.sizes > 0]
+        rest = np.ones(total, dtype=bool)
+        rest[active] = False
+        order = np.concatenate([active, np.flatnonzero(rest)])
+        for name, col in columns.items():
+            state.store.write(name, col, order=order)
+
+    def _empty_states(self) -> List[KernelState]:
+        """One empty lane state per shard, as every epoch starts."""
+        from repro.core import stores as _stores
+
+        return [KernelState(index={}, arrays={}, scalars={},
+                            store=self._store and _stores.make_store(self._store))
+                for _ in range(self.shards)]
 
     def _ingest(self, keys: List[Hashable],
                 length_arrays: List[np.ndarray]) -> None:
         """Route one chunk to its shards, replay them, advance watermarks."""
         start = time.perf_counter()
-        per_shard: Dict[int, Dict[Hashable, np.ndarray]] = {}
-        packets = 0
-        volume = 0
-        for key, lens in zip(keys, length_arrays):
-            shard = self._shard(key)
-            flows = per_shard.setdefault(shard, {})
-            previous = flows.get(key)
-            flows[key] = (lens if previous is None
-                          else np.concatenate([previous, lens]))
-            n = int(lens.size)
-            total = int(round(float(lens.sum())))
-            packets += n
-            volume += total
-            seen = self._keys[shard]
-            if key not in seen:
-                seen[key] = None
+        if len(set(keys)) != len(keys):
+            merged: Dict[Hashable, np.ndarray] = {}
+            for key, lens in zip(keys, length_arrays):
+                previous = merged.get(key)
+                merged[key] = (lens if previous is None
+                               else np.concatenate([previous, lens]))
+            keys, length_arrays = list(merged), list(merged.values())
+        count = len(keys)
+        sizes = np.fromiter((lens.size for lens in length_arrays),
+                            dtype=np.int64, count=count)
+        # Per-key byte sums in one pass: the non-empty segments tile the
+        # concatenation exactly, so reduceat needs only their starts.
+        sums = np.zeros(count, dtype=np.float64)
+        filled = np.flatnonzero(sizes)
+        if filled.size:
+            starts = np.cumsum(sizes) - sizes
+            sums[filled] = np.add.reduceat(np.concatenate(length_arrays),
+                                           starts[filled])
+        totals = np.rint(sums).astype(np.int64)
+        packets = int(sizes.sum())
+        volume = int(totals.sum())
+        amounts = sizes if self.mode == "size" else totals
+        shard_ids = np.fromiter((self._shard(key) for key in keys),
+                                dtype=np.int64, count=count)
+        for key, shard, amount in zip(keys, shard_ids.tolist(),
+                                      amounts.tolist()):
             truths = self._truths[shard]
-            amount = n if self.mode == "size" else total
             truths[key] = truths.get(key, 0) + amount
 
         tasks = []
-        for shard in sorted(per_shard):
+        pending = {}
+        for shard in np.unique(shard_ids).tolist():
+            pos = np.flatnonzero(shard_ids == shard)
             _faults.fire("shard.run", unit=shard)
             seed = np.random.SeedSequence(
                 entropy=self._root.entropy,
                 spawn_key=self._root_key + (self.epoch_index, shard,
                                             self._chunk_in_epoch))
+            trace, resume, rows, new_keys, columns = self._shard_chunk_trace(
+                shard, keys, pos, sizes, sums, length_arrays)
+            pending[shard] = (trace, rows, new_keys, columns)
             tasks.append(_ShardChunkTask(
                 shard=shard, index=shard,
-                scheme_factory=self.scheme_factory,
-                trace=self._shard_chunk_trace(shard, per_shard[shard]),
-                mode=self.mode, rng=seed, state=self._state[shard],
-                telemetry=self._enabled, engine=self.engine,
-                store=self._store))
+                scheme_factory=self.scheme_factory, trace=trace,
+                mode=self.mode, rng=seed, state=resume,
+                telemetry=self._enabled, engine=self.engine))
 
         if self.workers is None or self.workers == 1:
             outcomes = [_run_shard_chunk(task) for task in tasks]
@@ -679,8 +733,8 @@ class StreamSession:
             outcomes = run_tasks(_run_shard_chunk, tasks,
                                  max_workers=self.workers,
                                  session=self._epoch_tel)
-        for shard, state, snap in outcomes:
-            self._state[shard] = state
+        for shard, carried, snap in outcomes:
+            self._scatter(shard, carried, *pending[shard])
             self._epoch_tel.merge(snap)
 
         self._epoch_tel.count("stream.chunks")
@@ -715,17 +769,12 @@ class StreamSession:
         """
         if self._epoch_packet_count == 0:
             return None
-        shard_estimates: List[Dict[Hashable, float]] = []
-        shard_bits: List[int] = []
-        for shard in range(self.shards):
-            state = self._state[shard]
-            if state is None or not state.index:
-                shard_estimates.append({})
-                shard_bits.append(0)
-                continue
-            estimates, bits = _readout(self._spec, state)
-            shard_estimates.append(estimates)
-            shard_bits.append(bits)
+        readouts = [_readout(self._spec, state) for state in self._state]
+        shard_estimates = tuple(dict(zip(state.index, estimates.tolist()))
+                                for state, (estimates, _) in
+                                zip(self._state, readouts))
+        shard_bits = tuple(int(counters.max(initial=0)).bit_length()
+                           for _, counters in readouts)
         truths: Dict[Hashable, int] = {}
         for shard_truths in self._truths:
             truths.update(shard_truths)
@@ -735,16 +784,14 @@ class StreamSession:
             index=self.epoch_index, scheme_name=self.scheme_name,
             mode=self.mode, packets=self._epoch_packet_count,
             volume=self._epoch_volume_count, shards=self.shards,
-            shard_estimates=tuple(shard_estimates),
-            shard_counter_bits=tuple(shard_bits),
+            shard_estimates=shard_estimates, shard_counter_bits=shard_bits,
             truths=truths, telemetry=snap_tel, store=self.store)
         self.snapshots.append(snapshot)
         if self._enabled:
             self._session.merge(snap_tel)
             self._total_tel.merge(snap_tel)
             self._epoch_tel = obs.Telemetry()
-        self._state = [None] * self.shards
-        self._keys = [dict() for _ in range(self.shards)]
+        self._state = self._empty_states()
         self._truths = [dict() for _ in range(self.shards)]
         self.epoch_index += 1
         self._chunk_in_epoch = 0
@@ -812,7 +859,6 @@ class StreamSession:
             "epoch_packet_count": self._epoch_packet_count,
             "epoch_volume_count": self._epoch_volume_count,
             "elapsed_seconds": self.elapsed_seconds,
-            "keys": [list(keys) for keys in self._keys],
             "state": list(self._state),
             "truths": [dict(truths) for truths in self._truths],
             "snapshots": list(self.snapshots),
@@ -852,7 +898,9 @@ class StreamSession:
         feeding it the same source yields estimates bit-identical to the
         uninterrupted run.  ``workers`` / ``telemetry`` are
         execution-environment choices, not measurement state, so they
-        are chosen fresh here.
+        are chosen fresh here.  Each shard's lanes come from its carried
+        ``state`` (in ``index`` order); a ``"keys"`` field, written by
+        older sessions, is ignored.
         """
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
@@ -889,8 +937,8 @@ class StreamSession:
         session._epoch_packet_count = payload["epoch_packet_count"]
         session._epoch_volume_count = payload["epoch_volume_count"]
         session.elapsed_seconds = payload["elapsed_seconds"]
-        session._keys = [dict.fromkeys(keys) for keys in payload["keys"]]
-        session._state = list(payload["state"])
+        session._state = [state or empty for state, empty
+                          in zip(payload["state"], session._state)]
         session._truths = [dict(truths) for truths in payload["truths"]]
         session.snapshots = list(payload["snapshots"])
         session._resume_skip = session.packets_consumed

@@ -310,6 +310,37 @@ class TestQuerySurface:
                 assert live[key] == pytest.approx(value)
         assert handle.error is None
 
+    def test_flow_queries_decode_live_counters_once_per_boundary(
+            self, compiled):
+        # N /flows queries at one chunk boundary share one decode of the
+        # live counters (the confidence interval's input).
+        config = dict(_config(compiled), epoch_packets=None)
+        chunks = _collect(TraceFeed(compiled), config["chunk_packets"])[:3]
+
+        async def replay_prefix():
+            for keys, arrays in chunks:
+                yield keys, arrays
+
+        feed = GeneratorFeed([])
+        feed.batches = lambda cp, start=0: replay_prefix()
+        daemon = build_daemon(_factory(), feed, **config)
+        decodes = []
+        live_counters = daemon.session.live_counters
+
+        def counted():
+            decodes.append(daemon.session.packets_consumed)
+            return live_counters()
+
+        daemon.session.live_counters = counted
+        flow = str(chunks[0][0][0])
+        packets = sum(int(a.size) for _, arrays in chunks for a in arrays)
+        with DaemonHandle(daemon) as handle:
+            _wait_ingested(handle.client, packets)
+            answers = [handle.client.flow(flow) for _ in range(8)]
+        assert handle.error is None
+        assert all(a["confidence"] is not None for a in answers)
+        assert decodes == [packets]
+
 
 # ---------------------------------------------------------------------------
 # feed health

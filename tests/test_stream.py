@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import repro.faults as faults_mod
+import repro.streaming as streaming
 from repro import (
     EpochSnapshot,
     MeasurementResult,
@@ -30,16 +31,18 @@ from repro import (
     replay,
     scheme_factory,
     scheme_names,
+    seed_streams,
     stream,
 )
 from repro.core.batchreplay import run_kernel
 from repro.core.kernels import kernel_spec
 from repro.errors import ParameterError
 from repro.export.collector import Collector
+from repro.flows.hashing import stable_hash
 from repro.harness.parallel import shutdown_pool
 from repro.serve import GeneratorFeed, build_daemon
 from repro.schemes import SchemeFactory, scheme_spec
-from repro.traces.compiled import compile_trace
+from repro.traces.compiled import CompiledTrace, compile_trace
 from repro.traces.nlanr import nlanr_like
 
 B = 1.05
@@ -523,3 +526,206 @@ class TestValidationParity:
                                            workers=0)),
         }
         assert messages == {"workers must be >= 1, got 0"}
+
+
+# ---------------------------------------------------------------------------
+# persistent lanes and touched-only replays
+# ---------------------------------------------------------------------------
+
+#: Every kernel, sized so its coupling machinery fires on the small feeds
+#: below: SAC global renormalisation, SD flushes, ICE bucket up-scales,
+#: DISCO/AEE saturation.
+KERNELS = {
+    "disco": dict(b=1.05, capacity_bits=7),
+    "exact": {},
+    "sac": dict(bits=8, mode_bits=3),
+    "sd": dict(sram_bits=16, dram_access_ratio=4),
+    "anls1": dict(b=1.02),
+    "anls2": dict(b=1.02),
+    "ice": dict(bits=6, bucket_flows=4),
+    "aee": dict(p=0.3, bits=10),
+}
+
+#: The kernels whose update law never reads another lane.
+LANE_LOCAL = {"disco", "exact", "anls1", "anls2", "aee"}
+
+
+def _churn_chunks(seed, chunks, keys_per_chunk):
+    """Churn-style chunks: about half the keys continue from earlier ones.
+
+    Every fifth chunk repeats its first key once more, so the merge of a
+    key listed twice in one chunk is covered too.
+    """
+    gen = np.random.default_rng(seed)
+    seen, out = [], []
+    for c in range(chunks):
+        reused = min(len(seen), keys_per_chunk // 2)
+        picks = gen.choice(len(seen), reused, replace=False) if reused else []
+        keys = [seen[i] for i in picks]
+        keys += [f"c{c}k{j}" for j in range(keys_per_chunk - reused)]
+        seen += keys[reused:]
+        if c % 5 == 4:
+            keys.append(keys[0])
+        arrays = [gen.integers(40, 1500, size=int(gen.geometric(0.25)))
+                  .astype(np.float64) for _ in keys]
+        out.append((keys, arrays))
+    return out
+
+
+def _full_slice_reference(factory, chunks, *, shards, epoch_packets, rng,
+                          engine, store):
+    """The full-slice stream schedule the touched-only one must reproduce.
+
+    Every chunk replays *every* key its shard has seen this epoch —
+    untouched keys as zero-packet rows, rows sorted by descending chunk
+    packets in first-seen order — and carries the whole shard through
+    ``load_state``/``export_state``.  Returns one ``(shard estimates,
+    truths, shard counter bits)`` triple per epoch.
+    """
+    spec = kernel_spec(factory())
+    root = seed_streams(rng).root()
+    epochs = []
+
+    def rotate(states, truths):
+        estimates, bits = [], []
+        for state in states:
+            keys = list(state.index) if state is not None else []
+            kernel = spec.factory(len(keys), np.random.default_rng(0), 1)
+            if keys:
+                kernel.load_state(keys, state)
+            estimates.append(dict(zip(keys, map(float, kernel.estimates()))))
+            bits.append(int(kernel.counters().max(initial=0)).bit_length()
+                        if keys else 0)
+        merged = {k: v for shard in truths for k, v in shard.items()}
+        epochs.append((estimates, merged, bits))
+
+    seen = [dict() for _ in range(shards)]
+    states, truths = [None] * shards, [dict() for _ in range(shards)]
+    epoch = chunk_no = packets = 0
+    for keys, arrays in chunks:
+        per_shard = {}
+        for key, lens in zip(keys, arrays):
+            shard = stable_hash(key) % shards
+            flows = per_shard.setdefault(shard, {})
+            flows[key] = (np.concatenate([flows[key], lens]) if key in flows
+                          else lens)
+            seen[shard].setdefault(key)
+            amount = lens.size if spec.mode == "size" else int(round(
+                float(lens.sum())))
+            truths[shard][key] = truths[shard].get(key, 0) + amount
+            packets += lens.size
+        for shard in sorted(per_shard):
+            flows = per_shard[shard]
+            keys_s = list(seen[shard])
+            raw = np.array([flows[k].size if k in flows else 0
+                            for k in keys_s], dtype=np.int64)
+            order = np.argsort(-raw, kind="stable")
+            rows = [keys_s[i] for i in order]
+            offsets = np.concatenate([[0], np.cumsum(raw[order])])
+            lengths = np.concatenate([flows.get(k, np.zeros(0))
+                                      for k in rows])
+            trace = CompiledTrace("ref", rows, lengths, offsets, raw[order],
+                                  np.zeros(len(rows), dtype=np.int64))
+            seed = np.random.SeedSequence(
+                entropy=root.entropy,
+                spawn_key=tuple(root.spawn_key) + (epoch, shard, chunk_no))
+            result = run_kernel(trace, spec.factory, mode=spec.mode, rng=seed,
+                                resume=states[shard], engine=engine)
+            states[shard] = result.kernel.export_state(rows, store=store)
+        chunk_no += 1
+        if packets >= epoch_packets:
+            rotate(states, truths)
+            seen = [dict() for _ in range(shards)]
+            states, truths = [None] * shards, [dict() for _ in range(shards)]
+            epoch, chunk_no, packets = epoch + 1, 0, 0
+    if packets:
+        rotate(states, truths)
+    return epochs
+
+
+def _layouts(count, seed):
+    gen = np.random.default_rng(seed)
+    for _ in range(count):
+        chunk_keys = int(gen.integers(20, 120))
+        yield (int(gen.integers(1, 5)), chunk_keys,
+               chunk_keys * int(gen.integers(8, 20)))
+
+
+class TestTouchedOnlyEquivalence:
+    """Persistent lanes + touched-only replays == the full-slice schedule.
+
+    Bit-identical per-epoch estimates, truths and counter widths for every
+    kernel, engine and counter store, over seeded random (shards, chunk,
+    epoch) layouts with a checkpoint/restore at a random chunk.  A kernel
+    marked ``lane_local`` must pass this to keep the mark.
+    """
+
+    @pytest.mark.parametrize("store", ["dense", "pools", "morris"])
+    @pytest.mark.parametrize("engine", ["vector", "native"])
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_matches_full_slice_reference(self, tmp_path, name, engine,
+                                          store):
+        factory = scheme_factory(name, seed=0, **KERNELS[name])
+        for case, (shards, chunk_keys, epoch_packets) in enumerate(
+                _layouts(2, seed=len(name))):
+            chunks = _churn_chunks(case, 14, chunk_keys)
+            config = dict(shards=shards, epoch_packets=epoch_packets,
+                          rng=case + 3, engine=engine, store=store)
+            expected = _full_slice_reference(factory, chunks, **config)
+
+            path = str(tmp_path / f"{case}.ckpt")
+            session = StreamSession(factory, checkpoint_path=path,
+                                    checkpoint_every=len(chunks) + 1,
+                                    **config)
+            crash = 1 + case * 5
+            for i, (keys, arrays) in enumerate(chunks):
+                if i == crash:
+                    session.checkpoint()
+                    session = StreamSession.restore(path)
+                session.ingest_chunk(keys, arrays)
+            got = [(list(s.shard_estimates), s.truths,
+                    list(s.shard_counter_bits))
+                   for s in session.finish().snapshots]
+            assert len(got) >= 2
+            assert got == expected, (name, engine, store, case)
+
+
+class TestTouchedOnlyRows:
+    """Each replay's row count is the chunk's, not the epoch's."""
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_rows_per_replay(self, monkeypatch, name):
+        factory = scheme_factory(name, seed=0, **KERNELS[name])
+        probe = kernel_spec(factory()).factory(1, np.random.default_rng(0), 1)
+        assert probe.lane_local == (name in LANE_LOCAL)
+
+        calls = []
+        real = streaming.run_kernel
+
+        def spy(trace, *args, **kwargs):
+            calls.append(trace.keys)
+            return real(trace, *args, **kwargs)
+
+        monkeypatch.setattr(streaming, "run_kernel", spy)
+        shards = 2
+        session = StreamSession(factory, shards=shards, rng=1)
+        epoch_keys = [set() for _ in range(shards)]
+        for keys, arrays in _churn_chunks(5, 80, 24):
+            touched = [set() for _ in range(shards)]
+            for key in keys:
+                touched[stable_hash(key) % shards].add(key)
+                epoch_keys[stable_hash(key) % shards].add(key)
+            first = len(calls)
+            session.ingest_chunk(keys, arrays)
+            covered = [set(rows) for rows in calls[first:]]
+            assert all(len(rows) == len(set(rows)) for rows in calls[first:])
+            assert covered == [
+                set(t) if probe.lane_local else set(e)
+                for t, e in zip(touched, epoch_keys) if t]
+        assert session.finish().epochs == 1
+        widest = max(len(rows) for rows in calls)
+        total = sum(len(e) for e in epoch_keys)
+        if probe.lane_local:
+            assert widest <= 24 and total > 30 * widest
+        else:
+            assert widest > total // 4
