@@ -10,7 +10,6 @@ a performance-regression tripwire.
 import random
 
 from repro.core.disco import DiscoSketch
-from repro.core.fastpath import FastDiscoSketch
 from repro.core.functions import GeometricCountingFunction
 from repro.core.update import compute_update
 from repro.counters.countmin import CountMin
@@ -50,23 +49,8 @@ def test_perf_disco_sketch_observe(benchmark):
     assert len(sketch) == 16
 
 
-def test_perf_fast_sketch_observe(benchmark):
-    packets = _packet_stream()
-
-    def run():
-        sketch = FastDiscoSketch(b=1.002, mode="volume", rng=1)
-        sketch.observe_many(packets)
-        return sketch
-
-    sketch = benchmark(run)
-    # Short stream: counters still climb often, so hits are moderate here;
-    # long replays (see test_fastpath) reach >80%.
-    assert sketch.cache.hit_rate > 0.1
-    assert sketch.cache_stats["clears"] == 0
-
-
 def test_perf_cached_disco_sketch_observe(benchmark):
-    """DiscoSketch with the exact decision cache — the engine='fast' path."""
+    """DiscoSketch with the exact decision cache — the engine='python' path."""
     packets = _packet_stream()
 
     def run():
@@ -77,6 +61,11 @@ def test_perf_cached_disco_sketch_observe(benchmark):
 
     sketch = benchmark(run)
     assert len(sketch) == 16
+    # Short stream: counters still climb often, so hits are moderate here;
+    # long replays (see test_fastpath) reach >80%.
+    stats = sketch.enable_update_cache().stats()
+    assert stats["hit_rate"] > 0.1
+    assert stats["clears"] == 0
 
 
 def test_perf_vector_engine_replay(benchmark):

@@ -45,6 +45,7 @@ from repro.harness.experiments import (
     volume_error_vs_counter_size,
 )
 from repro.harness.formatting import render_series, render_table
+from repro.harness.runner import ENGINES
 from repro.core.stores import store_names
 from repro.errors import ParameterError
 from repro.facade import replay, stream
@@ -629,7 +630,7 @@ def _common_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=("volume", "size"), default="volume")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--engine",
-                        choices=("auto", "python", "fast", "vector", "native"),
+                        choices=ENGINES,
                         default="auto",
                         help="replay engine (vector = array-native batch "
                              "replay, native = compiled kernels, falls back "

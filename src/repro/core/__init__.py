@@ -19,9 +19,7 @@ analysis
 from repro.core.batchreplay import (
     BatchReplayResult,
     ReplicaReplayResult,
-    VectorSpec,
     run_kernel,
-    vector_spec,
 )
 from repro.core.kernels import (
     KernelSpec,
@@ -46,7 +44,7 @@ from repro.core.confidence import (
     relative_stddev,
 )
 from repro.core.disco import DiscoCounter, DiscoSketch, counter_bits
-from repro.core.fastpath import FastDiscoSketch, UpdateCache
+from repro.core.fastpath import UpdateCache
 from repro.core.functions import (
     CountingFunction,
     GeometricCountingFunction,
@@ -85,15 +83,12 @@ __all__ = [
     "merge_counters",
     "merge_sketches",
     "merged_estimate",
-    "FastDiscoSketch",
     "UpdateCache",
     "AgingDiscoSketch",
     "age_counter",
     "BatchReplayResult",
     "ReplicaReplayResult",
-    "VectorSpec",
     "run_kernel",
-    "vector_spec",
     "KernelSpec",
     "SchemeKernel",
     "kernel_spec",

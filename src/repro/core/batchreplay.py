@@ -59,15 +59,13 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 
 from repro import obs
-from repro.core.functions import GeometricCountingFunction
 from repro.core.kernels import KernelState
 from repro.errors import ParameterError
 from repro.traces.compiled import CompiledTrace, compile_trace
 from repro.traces.trace import Trace
 
 __all__ = ["BatchReplayResult", "ReplicaReplayResult", "run_kernel",
-           "as_generator", "VectorSpec",
-           "vector_spec", "DEFAULT_MIN_LANES"]
+           "as_generator", "DEFAULT_MIN_LANES"]
 
 #: Below this many active lanes a NumPy column step costs more than the
 #: scalar tail; the driver switches to the kernel's scalar tail phase.
@@ -93,44 +91,6 @@ def as_generator(
     if isinstance(rng, random.Random):
         return np.random.default_rng(rng.getrandbits(128))
     return np.random.default_rng(rng)
-
-
-@dataclass(frozen=True)
-class VectorSpec:
-    """The parameters under which a DISCO replay can be vectorised."""
-
-    b: float
-    mode: str
-    capacity_bits: Optional[int]
-
-
-def vector_spec(scheme) -> Optional[VectorSpec]:
-    """Return the scheme's :class:`VectorSpec`, or ``None`` if ineligible.
-
-    The batch engine reproduces exactly the plain per-flow DISCO law:
-    geometric counting function, no burst aggregation, no variance
-    tracking, and a fresh sketch (pre-existing counters would be
-    ignored).  Capacity clamping *is* supported — the engine saturates
-    lanes the same way :class:`~repro.core.disco.DiscoSketch` does.
-    """
-    from repro.core.disco import DiscoSketch
-    from repro.core.fastpath import FastDiscoSketch
-
-    function = getattr(scheme, "function", None)
-    if not isinstance(function, GeometricCountingFunction):
-        return None
-    if len(scheme) != 0:
-        return None
-    if isinstance(scheme, DiscoSketch):
-        if type(scheme) is not DiscoSketch:
-            return None  # subclasses (e.g. aging) may hook the update path
-        if scheme.burst_capacity is not None or scheme.track_variance:
-            return None
-        return VectorSpec(b=function.b, mode=scheme.mode,
-                          capacity_bits=scheme.capacity_bits)
-    if isinstance(scheme, FastDiscoSketch):
-        return VectorSpec(b=function.b, mode=scheme.mode, capacity_bits=None)
-    return None
 
 
 @dataclass(frozen=True)

@@ -299,7 +299,7 @@ class DiscoSketch:
         """Memoize Algorithm-1 decisions behind a shared exact cache.
 
         Installs an :class:`~repro.core.fastpath.UpdateCache` on the update
-        path (the ``engine="fast"`` replay path).  The cache stores exact
+        path (``engine="python"`` replays always do).  The cache stores exact
         decisions, so the sketch's trajectory is bit-for-bit unchanged —
         only the transcendental math is skipped on repeats.  Returns the
         cache so callers can read its accounting.

@@ -566,22 +566,34 @@ class DiscoKernel(SchemeKernel):
 
 
 def disco_kernel_spec(scheme) -> Optional[KernelSpec]:
-    """Spec for a plain fresh DISCO sketch (see ``batchreplay.vector_spec``)."""
-    from repro.core.batchreplay import vector_spec
+    """Spec for a plain fresh DISCO sketch, or ``None`` if ineligible.
 
-    vs = vector_spec(scheme)
-    if vs is None:
+    The kernel reproduces exactly the plain per-flow DISCO law: a
+    geometric counting function on an exact :class:`DiscoSketch` (not a
+    subclass, which may hook the update path), no burst aggregation, no
+    variance tracking, and a fresh sketch (pre-existing counters would be
+    ignored).  Capacity clamping *is* supported — the kernel saturates
+    lanes the same way the sketch does.
+    """
+    from repro.core.disco import DiscoSketch
+    from repro.core.functions import GeometricCountingFunction
+
+    if type(scheme) is not DiscoSketch or len(scheme) != 0:
         return None
+    function = scheme.function
+    if (not isinstance(function, GeometricCountingFunction)
+            or scheme.burst_capacity is not None or scheme.track_variance):
+        return None
+    b, capacity_bits = function.b, scheme.capacity_bits
     return KernelSpec(
-        scheme=getattr(scheme, "name", "disco"),
-        mode=vs.mode,
+        scheme=scheme.name,
+        mode=scheme.mode,
         factory=lambda lanes, gen, replicas: DiscoKernel(
-            lanes, gen, replicas, b=vs.b, capacity_bits=vs.capacity_bits),
+            lanes, gen, replicas, b=b, capacity_bits=capacity_bits),
     )
 
 
 _register("disco", "plain fresh sketch, geometric function")
-_register("disco-fast", "plain fresh sketch, geometric function")
 
 
 # ---------------------------------------------------------------------------

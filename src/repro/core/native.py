@@ -1245,8 +1245,10 @@ def sd_runner(kernel):
     the vector path's whenever SRAM never saturates; overflow/bus
     diagnostics are order-sensitive under any replay order and therefore
     comparable, not bitwise equal — the same caveat the vector kernel
-    documents.  Unknown batch policies and very wide SRAM counters
-    decline (fall back to the vector path).
+    documents.  Unknown batch policies, very wide SRAM counters and
+    carried SRAM values above ``2**sram_bits - 1`` (a lossy store's
+    decode can overshoot; the bucket queue has one chain per value up to
+    that maximum) decline (fall back to the vector path).
     """
     _probe()
     cc = _cc
@@ -1265,6 +1267,8 @@ def sd_runner(kernel):
     else:
         return None
     if kernel.sram_bits > _SD_MAX_SRAM_BITS:
+        return None
+    if int(kernel.sram.max(initial=0)) > kernel._sram_max:
         return None
 
     def run(compiled, mode: str, min_lanes: int) -> NativeStats:

@@ -336,7 +336,7 @@ def replay(
     """Replay ``trace`` through ``scheme`` and score the estimates.
 
     The single replay entrypoint: selects an engine
-    (``auto``/``python``/``fast``/``vector``/``native`` — see
+    (``auto``/``python``/``vector``/``native`` — see
     :mod:`repro.harness.runner` for the contract), derives every random
     stream from ``rng`` via :func:`seed_streams`, and returns one
     :class:`~repro.harness.runner.RunResult` — or a list of ``replicas``
@@ -393,8 +393,7 @@ def replay(
                                 store=compact_store)
     else:
         result = _replay_scalar(scheme, trace, order=order,
-                                rng=streams.shuffle, engine=resolved,
-                                telemetry=tel)
+                                rng=streams.shuffle, telemetry=tel)
     if tel.enabled:
         _count_scheme_events(tel, scheme, before)
         snap = tel.snapshot()

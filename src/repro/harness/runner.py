@@ -4,18 +4,18 @@ Four engines drive the same replay contract:
 
 ``"python"``
     The reference per-packet ``observe()`` loop.  Works for every scheme.
-``"fast"``
-    The same loop with Algorithm-1 decisions memoized behind an exact
-    :class:`~repro.core.fastpath.UpdateCache` — bit-for-bit identical
-    trajectories, only the transcendental math is skipped.  DISCO
-    sketches only.
+    DISCO sketches replay it with Algorithm-1 decisions memoized behind an
+    exact :class:`~repro.core.fastpath.UpdateCache`
+    (``enable_update_cache``): the decision depends only on ``(c, l)``, so
+    the trajectory is bit-for-bit the uncached one with the transcendental
+    math skipped on repeats.
 ``"vector"``
     The array-native engine (:mod:`repro.core.batchreplay`): the trace is
     compiled to struct-of-arrays form once and all flows advance in
     lockstep NumPy column steps, driven through the scheme's columnar
     kernel (:mod:`repro.core.kernels` — DISCO, SAC, the ANLS family, SD
     and exact counters all expose one).  Distributionally equivalent to
-    the scalar engines (same update law, hence the same estimator
+    the scalar engine (same update law, hence the same estimator
     moments) but in general *not* bit-identical: it consumes a NumPy
     random stream column-major.  Fresh schemes only; arrival ``order``
     is ignored because per-flow counters are order-independent across
@@ -30,12 +30,12 @@ Four engines drive the same replay contract:
     elsewhere.  Falls back to ``"vector"`` with a one-time warning when
     no native provider is available (or ``REPRO_DISABLE_NATIVE=1``).
 ``"auto"``
-    ``"fast"`` when the scheme supports the exact cache, else — for
-    schemes whose kernel is provably *bit-identical* to the reference
-    loop (deterministic kernels such as exact counters) — ``"native"``
-    when the capability probe succeeds, degrading to ``"vector"``, else
-    ``"python"``.  Randomised kernels are never picked silently, so
-    seeded results stay reproducible unless a caller opts in.
+    For schemes whose kernel is provably *bit-identical* to the reference
+    loop (deterministic kernels such as exact counters), ``"native"``
+    when the capability probe succeeds, degrading to ``"vector"``; else
+    ``"python"`` (DISCO included).  Randomised kernels are never picked
+    silently, so seeded results stay reproducible unless a caller opts
+    in.
 
 The documented entrypoint for all of this is the :func:`repro.replay`
 facade; this module holds the engine implementations, the strict
@@ -69,7 +69,7 @@ __all__ = ["RunResult", "replay_replicas", "replay_stream",
            "resolve_engine", "ENGINES"]
 
 #: Valid values of the ``engine`` parameter.
-ENGINES = ("auto", "python", "fast", "vector", "native")
+ENGINES = ("auto", "python", "vector", "native")
 
 AnyTrace = Union[Trace, CompiledTrace]
 
@@ -122,33 +122,24 @@ def resolve_engine(engine: str, scheme) -> str:
     """Map an ``engine`` request to the concrete engine used for ``scheme``.
 
     ``"auto"`` degrades gracefully; explicit requests are strict — asking
-    for ``"fast"`` or ``"vector"`` with an unsupported scheme raises, so
+    for ``"vector"`` or ``"native"`` with an unsupported scheme raises, so
     a benchmark never silently times the wrong path.  The scheme list in
     the ``"vector"`` error is sorted, so the message is deterministic.
     """
     from repro.core import native
-    from repro.core.disco import DiscoSketch
-    from repro.core.fastpath import FastDiscoSketch
     from repro.core.kernels import kernel_scheme_names, kernel_spec
 
     if engine not in ENGINES:
         raise ParameterError(
             f"engine must be one of {', '.join(ENGINES)}, got {engine!r}"
         )
-    cacheable = isinstance(scheme, (DiscoSketch, FastDiscoSketch))
     if engine == "auto":
-        if cacheable:
-            return "fast"
         spec = kernel_spec(scheme)
         if spec is not None and spec.bit_identical:
             # Same trajectories either way (bit-identical kernels), so
             # auto may take the compiled path when the probe passes.
             return "native" if native.available() else "vector"
         return "python"
-    if engine == "fast" and not cacheable:
-        raise ParameterError(
-            f"engine='fast' needs a DISCO sketch, got {type(scheme).__name__}"
-        )
     if engine in ("vector", "native") and kernel_spec(scheme) is None:
         raise ParameterError(
             f"engine={engine!r} needs a fresh scheme with a columnar kernel; "
@@ -169,17 +160,17 @@ def _replay_scalar(
     trace: AnyTrace,
     order: str,
     rng: Union[None, int, random.Random],
-    engine: str,
     telemetry: obs.Telemetry,
 ) -> RunResult:
-    """The per-packet engines (``python``/``fast``); ``engine`` is resolved.
+    """The per-packet ``python`` engine.
 
-    The scheme's ``mode`` attribute picks the matching ground truth
-    (packets for ``"size"``, bytes for ``"volume"``).  Wall-clock time
-    covers only the per-packet update loop — the quantity Table IV
-    compares.
+    Schemes with an exact decision memo (``enable_update_cache``) replay
+    through it.  The scheme's ``mode`` attribute picks the matching
+    ground truth (packets for ``"size"``, bytes for ``"volume"``).
+    Wall-clock time covers only the per-packet update loop — the quantity
+    Table IV compares.
     """
-    if engine == "fast" and hasattr(scheme, "enable_update_cache"):
+    if hasattr(scheme, "enable_update_cache"):
         scheme.enable_update_cache()
 
     if order == "shuffled":
@@ -219,7 +210,7 @@ def _replay_scalar(
         max_counter_bits=scheme.max_counter_bits(),
         elapsed_seconds=elapsed,
         packets=count if count is not None else n,
-        engine=engine,
+        engine="python",
     )
 
 

@@ -38,7 +38,7 @@ Per-session (explicit, preferred in library code)::
     from repro import Telemetry, replay
     tel = Telemetry()
     result = replay(scheme, trace, telemetry=tel)
-    tel.snapshot()["counters"]["replay.engine.fast"]   # -> 1
+    tel.snapshot()["counters"]["replay.engine.python"]   # -> 1
 
 Process-global (ambient, for CLI runs and quick looks)::
 

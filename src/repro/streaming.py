@@ -793,6 +793,9 @@ class StreamSession:
             self._epoch_tel = obs.Telemetry()
         self._state = self._empty_states()
         self._truths = [dict() for _ in range(self.shards)]
+        # The shard memo is a cache of ``stable_hash``: dropping it with
+        # the epoch bounds it by one epoch's keys without moving any key.
+        self._shard_of = {}
         self.epoch_index += 1
         self._chunk_in_epoch = 0
         self._epoch_packet_count = 0

@@ -17,13 +17,6 @@ from repro.traces.distributions import (
     UniformInt,
 )
 from repro.traces.arrival import constant_rate, on_off, poisson
-from repro.traces.mixer import (
-    attack_overlay,
-    filter_flows,
-    merge,
-    relabel,
-    scale_volume,
-)
 from repro.traces.compiled import CompiledTrace, clear_compile_cache, compile_trace
 from repro.traces.nlanr import NLANR_PROFILE_MIX, nlanr_like
 from repro.traces.pcap import iter_pcap_packets, read_pcap, write_pcap
@@ -95,11 +88,6 @@ __all__ = [
     "constant_rate",
     "poisson",
     "on_off",
-    "merge",
-    "relabel",
-    "scale_volume",
-    "filter_flows",
-    "attack_overlay",
     "ZipfPopularity",
     "zipf_packets",
     "zipf_trace",

@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.traces.compiled import CompiledTrace, TraceChunk
-from repro.traces.mixer import scale_volume
 from repro.traces.nlanr import (
     NLANR_PROFILE_MIX,
     _CONSTANT_LENGTH_CHOICES,
@@ -104,23 +103,27 @@ def renormalize(trace: Trace, target_pps: float,
                 duration: float = 1.0) -> Trace:
     """Rescale ``trace`` so it carries ``target_pps * duration`` packets.
 
-    Every flow's packet list is repeated or thinned by the same factor
-    (via :func:`~repro.traces.mixer.scale_volume`), so the flow-size
-    *distribution shape* survives while the total packet budget lands on
-    the target — the knob for replaying one workload at several offered
-    loads.  Per-flow rounding keeps at least one packet per flow, so the
-    realised total is approximate for factors near or below ``1 /
-    mean_flow_packets``.
+    Every flow's packet list is repeated or thinned by the same factor:
+    a factor ``>= 1`` repeats the list (a fractional remainder takes a
+    prefix), a factor ``< 1`` keeps a prefix.  Packet sizes are untouched,
+    so the flow-size *distribution shape* and per-flow length statistics
+    survive while the total packet budget lands on the target — the knob
+    for replaying one workload at several offered loads.  Per-flow
+    rounding keeps at least one packet per flow, so the realised total is
+    approximate for factors near or below ``1 / mean_flow_packets``.
     """
     if not (target_pps > 0):
         raise ParameterError(f"target_pps must be > 0, got {target_pps!r}")
     if not (duration > 0):
         raise ParameterError(f"duration must be > 0, got {duration!r}")
     total = sum(len(lengths) for lengths in trace.flows.values())
-    target = max(1.0, target_pps * duration)
-    scaled = scale_volume(trace, target / total)
-    return Trace(scaled.flows,
-                 name=f"{trace.name}@{target_pps:g}pps")
+    factor = max(1.0, target_pps * duration) / total
+    flows: Dict[Hashable, List[int]] = {}
+    for flow, lengths in trace.flows.items():
+        keep = max(1, int(round(len(lengths) * factor)))
+        repeats, remainder = divmod(keep, len(lengths))
+        flows[flow] = list(lengths) * repeats + list(lengths[:remainder])
+    return Trace(flows, name=f"{trace.name}@{target_pps:g}pps")
 
 
 # -- stress generators ---------------------------------------------------------

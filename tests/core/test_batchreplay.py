@@ -17,13 +17,11 @@ from repro.core.batchreplay import (
     DEFAULT_MIN_LANES,
     as_generator,
     run_kernel,
-    vector_spec,
 )
 from repro.core.disco import DiscoSketch
-from repro.core.fastpath import FastDiscoSketch
 from repro.core.fastsim import simulate_uniform_stream
 from repro.core.functions import GeometricCountingFunction, LinearCountingFunction
-from repro.core.kernels import DiscoKernel
+from repro.core.kernels import DiscoKernel, kernel_spec
 from repro.core.vectorized import VectorDisco
 from repro.errors import ParameterError
 from repro.traces.compiled import compile_trace
@@ -234,41 +232,52 @@ class TestDistributionalEquivalence:
 
 
 class TestVectorSpec:
+    """Which DISCO sketches the columnar kernel (``kernel_spec``) accepts."""
+
+    @staticmethod
+    def _kernel(sketch):
+        return kernel_spec(sketch).factory(1, np.random.default_rng(0), 1)
+
     def test_plain_disco_eligible(self):
-        spec = vector_spec(DiscoSketch(b=1.05, mode="volume"))
+        spec = kernel_spec(DiscoSketch(b=1.05, mode="volume"))
         assert spec is not None
-        assert spec.b == 1.05 and spec.mode == "volume"
-        assert spec.capacity_bits is None
+        assert spec.scheme == "disco" and spec.mode == "volume"
+        kernel = self._kernel(DiscoSketch(b=1.05, mode="volume"))
+        assert kernel.b == 1.05 and kernel.max_value is None
 
     def test_capacity_bits_carried(self):
-        spec = vector_spec(DiscoSketch(b=1.05, capacity_bits=10))
-        assert spec.capacity_bits == 10
+        kernel = self._kernel(DiscoSketch(b=1.05, capacity_bits=10))
+        assert kernel.max_value == (1 << 10) - 1
 
     def test_fast_sketch_eligible(self):
-        assert vector_spec(FastDiscoSketch(b=1.05)) is not None
+        # The exact decision memo does not change the update law.
+        sketch = DiscoSketch(b=1.05)
+        sketch.enable_update_cache()
+        assert kernel_spec(sketch) is not None
 
     def test_burst_aggregation_ineligible(self):
-        assert vector_spec(DiscoSketch(b=1.05, burst_capacity=4096)) is None
+        assert kernel_spec(DiscoSketch(b=1.05, burst_capacity=4096)) is None
 
     def test_variance_tracking_ineligible(self):
-        assert vector_spec(DiscoSketch(b=1.05, track_variance=True)) is None
+        assert kernel_spec(DiscoSketch(b=1.05, track_variance=True)) is None
 
     def test_nongeometric_ineligible(self):
         sketch = DiscoSketch(function=LinearCountingFunction())
-        assert vector_spec(sketch) is None
+        assert kernel_spec(sketch) is None
 
     def test_pre_observed_ineligible(self):
         sketch = DiscoSketch(b=1.05)
         sketch.observe("f", 100)
-        assert vector_spec(sketch) is None
+        assert kernel_spec(sketch) is None
+        assert sketch.kernel() is None
 
     def test_subclass_ineligible(self):
         from repro.core.aging import AgingDiscoSketch
 
-        assert vector_spec(AgingDiscoSketch(b=1.05)) is None
+        assert kernel_spec(AgingDiscoSketch(b=1.05)) is None
 
     def test_non_disco_ineligible(self):
-        assert vector_spec(object()) is None
+        assert kernel_spec(object()) is None
 
 
 class TestAsGenerator:

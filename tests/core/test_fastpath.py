@@ -1,17 +1,18 @@
 """Tests for the memoized DISCO fast path."""
 
 import random
-import statistics
 import threading
 import time
 
 import pytest
 
 from repro.core.disco import DiscoSketch
-from repro.core.fastpath import FastDiscoSketch, UpdateCache
+from repro.core.fastpath import UpdateCache
 from repro.core.functions import GeometricCountingFunction
 from repro.core.update import compute_update
 from repro.errors import ParameterError
+from repro.facade import replay
+from repro.traces.nlanr import nlanr_like
 
 
 class TestUpdateCache:
@@ -153,49 +154,56 @@ class TestUpdateCacheConcurrency:
         assert len({id(cache) for cache in got}) == 1
 
 
+def cached_sketch(**kwargs) -> DiscoSketch:
+    sketch = DiscoSketch(**kwargs)
+    sketch.enable_update_cache()
+    return sketch
+
+
 class TestFastDiscoSketch:
+    """A :class:`DiscoSketch` on the memoized path (``enable_update_cache``)."""
+
     def test_mode_validation(self):
         with pytest.raises(ParameterError):
-            FastDiscoSketch(b=1.1, mode="bytes")
+            DiscoSketch(b=1.1, mode="bytes")
 
     def test_rejects_bad_length(self):
-        sketch = FastDiscoSketch(b=1.1)
+        sketch = cached_sketch(b=1.1)
         with pytest.raises(ParameterError):
             sketch.observe("f", 0)
 
     def test_identical_trajectory_to_reference(self):
-        # Same seed, same packets: the cached path must take the exact
-        # same random decisions as DiscoSketch.
-        rand = random.Random(3)
-        packets = [(rand.randrange(6), rand.choice([40, 576, 1500]))
-                   for _ in range(3000)]
+        # Same seed, same packets: the memoized python replay must take
+        # the exact same random decisions as an uncached observe loop.
+        trace = nlanr_like(num_flows=30, mean_flow_bytes=20_000, rng=3)
+        sketch = DiscoSketch(b=1.02, mode="volume", rng=9)
+        replay(sketch, trace, order="asis", engine="python")
         reference = DiscoSketch(b=1.02, mode="volume", rng=9)
-        fast = FastDiscoSketch(b=1.02, mode="volume", rng=9)
-        for flow, length in packets:
+        for flow, length in trace.packet_pairs(order="asis"):
             reference.observe(flow, length)
-            fast.observe(flow, length)
-        for flow in range(6):
-            assert fast.counter_value(flow) == reference.counter_value(flow)
+        assert reference._update_cache is None
+        assert sketch._update_cache.hits > 0
+        assert sketch._counters == reference._counters
 
     def test_high_hit_rate_on_realistic_lengths(self):
         rand = random.Random(4)
-        sketch = FastDiscoSketch(b=1.01, mode="volume", rng=5)
+        sketch = cached_sketch(b=1.01, mode="volume", rng=5)
         for _ in range(20_000):
             sketch.observe(rand.randrange(4), rand.choice([40, 576, 1500]))
-        assert sketch.cache.hit_rate > 0.8
+        assert sketch.enable_update_cache().hit_rate > 0.8
 
     def test_size_mode_hit_rate_near_one(self):
-        sketch = FastDiscoSketch(b=1.02, mode="size", rng=6)
+        sketch = cached_sketch(b=1.02, mode="size", rng=6)
         for _ in range(5000):
             sketch.observe("f", 1234)
         # l is always 1: one miss per distinct counter value only.
-        assert sketch.cache.hit_rate > 0.9
+        assert sketch.enable_update_cache().hit_rate > 0.9
 
     def test_faster_than_reference_on_cached_workload(self):
         rand = random.Random(7)
         packets = [("f", rand.choice([40, 1500])) for _ in range(30_000)]
 
-        fast = FastDiscoSketch(b=1.002, mode="volume", rng=8)
+        fast = cached_sketch(b=1.002, mode="volume", rng=8)
         start = time.perf_counter()
         fast.observe_many(packets)
         fast_time = time.perf_counter() - start
@@ -208,7 +216,7 @@ class TestFastDiscoSketch:
         assert fast_time < reference_time
 
     def test_readout_surface(self):
-        sketch = FastDiscoSketch(b=1.05, rng=0)
+        sketch = cached_sketch(b=1.05, rng=0)
         sketch.observe_many([("a", 100), ("b", 1000)])
         assert len(sketch) == 2
         assert set(sketch.flows()) == {"a", "b"}
@@ -218,10 +226,11 @@ class TestFastDiscoSketch:
         assert sketch.counter_value("zzz") == 0
 
     def test_cache_stats_surface(self):
-        sketch = FastDiscoSketch(b=1.05, rng=0)
+        sketch = DiscoSketch(b=1.05, rng=0)
+        cache = sketch.enable_update_cache()
+        assert sketch.enable_update_cache() is cache  # installed once
         sketch.observe_many([("a", 100)] * 50)
-        stats = sketch.cache_stats
-        assert stats == sketch.cache.stats()
+        stats = cache.stats()
         assert stats["hits"] + stats["misses"] == 50
         assert stats["clears"] == 0
         assert 0.0 <= stats["hit_rate"] <= 1.0

@@ -19,6 +19,8 @@ identity/distributional groups skip and the fallback group still runs
 (``make test-nonative`` exercises exactly that configuration).
 """
 
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -263,6 +265,26 @@ class TestStreamNative:
                   ((result.estimates_dict()[f], t)
                    for f, t in compiled.true_totals("volume").items())]
         assert sum(errors) / len(errors) < 0.2
+
+    def test_sd_carried_sram_above_max_runs(self):
+        # A lossy store can decode a carried SRAM value past
+        # 2**sram_bits - 1; the compiled bucket queue has no chain for it.
+        # Run in a child process: the failure mode is a segfault.
+        code = (
+            "from repro.schemes import scheme_factory\n"
+            "from repro.streaming import StreamSession\n"
+            "from repro.traces import make_trace\n"
+            "trace = make_trace('nlanr', num_flows=3000, seed=1)\n"
+            "session = StreamSession(\n"
+            "    scheme_factory('sd', sram_bits=10, mode='volume'),\n"
+            "    shards=2, store='morris', engine='native',\n"
+            "    chunk_packets=4096, rng=0)\n"
+            "session.consume(trace)\n"
+            "print(session.finish().packets == trace.num_packets)\n")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "True"
 
     def test_disco_stream_runs_on_native_chunks(self, compiled):
         result = stream(scheme_factory("disco", b=B, seed=0), compiled,

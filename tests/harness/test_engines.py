@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.disco import DiscoSketch
-from repro.core.fastpath import FastDiscoSketch
 from repro.counters.countmin import CountMin
 from repro.counters.exact import ExactCounters
 from repro.counters.sac import SmallActiveCounters
@@ -21,8 +20,8 @@ def small_trace():
 
 class TestResolveEngine:
     def test_auto_picks_fast_for_disco(self):
-        assert resolve_engine("auto", DiscoSketch(b=1.05)) == "fast"
-        assert resolve_engine("auto", FastDiscoSketch(b=1.05)) == "fast"
+        # The memoized DISCO path is the python engine itself.
+        assert resolve_engine("auto", DiscoSketch(b=1.05)) == "python"
 
     def test_auto_picks_python_for_other_schemes(self):
         assert resolve_engine("auto", SmallActiveCounters(total_bits=10)) \
@@ -41,8 +40,11 @@ class TestResolveEngine:
             resolve_engine("numpy", DiscoSketch(b=1.05))
 
     def test_fast_strict_on_non_disco(self):
-        with pytest.raises(ParameterError):
-            resolve_engine("fast", SmallActiveCounters(total_bits=10))
+        # "fast" is no engine any more, for DISCO or anything else.
+        for scheme in (SmallActiveCounters(total_bits=10),
+                       DiscoSketch(b=1.05)):
+            with pytest.raises(ParameterError, match="engine must be one of"):
+                resolve_engine("fast", scheme)
 
     def test_vector_strict_on_ineligible_sketch(self):
         with pytest.raises(ParameterError):
@@ -77,24 +79,29 @@ class TestResolveEngine:
             == "python"
 
     def test_engines_tuple(self):
-        assert ENGINES == ("auto", "python", "fast", "vector", "native")
+        assert ENGINES == ("auto", "python", "vector", "native")
 
 
 class TestFastEngine:
+    """The python engine replays DISCO through the exact decision memo."""
+
     def test_bit_identical_to_python(self):
         trace = small_trace()
         a = DiscoSketch(b=1.02, mode="volume", rng=3)
         b = DiscoSketch(b=1.02, mode="volume", rng=3)
         ra = replay(a, trace, order="shuffled", rng=5, engine="python")
-        rb = replay(b, trace, order="shuffled", rng=5, engine="fast")
-        assert ra.engine == "python" and rb.engine == "fast"
+        for flow, length in trace.packet_pairs(order="shuffled", rng=5):
+            b.observe(flow, length)
+        assert ra.engine == "python"
+        assert a._update_cache is not None and b._update_cache is None
         assert a._counters == b._counters
-        assert ra.estimates == rb.estimates
-        assert ra.summary.average == rb.summary.average
+        assert ra.estimates == {f: b.estimate(f) for f in ra.estimates}
 
     def test_auto_resolves_to_fast_on_disco(self):
-        result = replay(DiscoSketch(b=1.02, rng=0), small_trace(), rng=1)
-        assert result.engine == "fast"
+        sketch = DiscoSketch(b=1.02, rng=0)
+        result = replay(sketch, small_trace(), rng=1)
+        assert result.engine == "python"
+        assert sketch._update_cache.hits > 0
 
 
 class TestVectorEngine:

@@ -53,7 +53,6 @@ MODULES = [
     "repro.flows.hashing",
     "repro.traces.pcap",
     "repro.traces.arrival",
-    "repro.traces.mixer",
     "repro.traces.registry",
     "repro.traces.toolkit",
     "repro.traces.zipf",
@@ -108,29 +107,28 @@ EXPECTED_ALL = {
         "BigTrace", "CompiledTrace", "Constant", "Exponential",
         "NLANR_PROFILE_MIX", "Pareto", "Sampler", "Trace", "TraceFactory",
         "TraceSpec", "TraceStats", "TruncatedExponential", "UniformInt",
-        "ZipfPopularity", "adversarial_trace", "attack_overlay", "big_trace",
-        "bursty_trace", "churn_trace", "clear_compile_cache", "compile_trace",
-        "constant_rate", "filter_flows", "generate_flows",
-        "iter_pcap_packets", "iter_trace_packets", "make_trace", "merge",
-        "merge_traces", "nlanr_like", "on_off", "packet_length_sampler",
-        "poisson", "read_pcap", "read_trace", "register_trace", "relabel",
-        "renormalize", "scale_volume", "scenario1", "scenario2", "scenario3",
-        "trace_factory", "trace_names", "trace_spec", "write_pcap",
+        "ZipfPopularity", "adversarial_trace", "big_trace", "bursty_trace",
+        "churn_trace", "clear_compile_cache", "compile_trace",
+        "constant_rate", "generate_flows", "iter_pcap_packets",
+        "iter_trace_packets", "make_trace", "merge_traces", "nlanr_like",
+        "on_off", "packet_length_sampler", "poisson", "read_pcap",
+        "read_trace", "register_trace", "renormalize", "scenario1",
+        "scenario2", "scenario3", "trace_factory", "trace_names", "trace_spec", "write_pcap",
         "write_trace", "zipf_packets", "zipf_trace",
     ],
     "repro.core": [
         "AgingDiscoSketch", "BatchReplayResult", "ConfidenceInterval",
-        "CountingFunction", "DiscoCounter", "DiscoSketch", "FastDiscoSketch",
+        "CountingFunction", "DiscoCounter", "DiscoSketch",
         "GeometricCountingFunction", "HybridCountingFunction", "KernelSpec",
         "LinearCountingFunction", "ReplicaReplayResult", "SchemeKernel",
-        "UpdateCache", "UpdateDecision", "VectorSpec", "age_counter",
+        "UpdateCache", "UpdateDecision", "age_counter",
         "apply_update", "b_for_cov_bound", "choose_b",
         "coefficient_of_variation", "compute_update", "confidence_interval",
         "counter_bits", "counter_for_error", "cov_bound", "cov_for_traffic",
         "expected_counter_upper_bound", "expected_increment", "geometric",
         "kernel_scheme_names", "kernel_spec", "load_sketch", "merge_counters",
         "merge_sketches", "merged_estimate", "relative_stddev",
-        "run_kernel", "save_sketch", "vector_spec",
+        "run_kernel", "save_sketch",
     ],
     "repro.harness": [
         "BiasVarianceReport", "ENGINES", "ReplayJob", "ReportConfig",

@@ -539,7 +539,7 @@ KERNELS = {
     "disco": dict(b=1.05, capacity_bits=7),
     "exact": {},
     "sac": dict(bits=8, mode_bits=3),
-    "sd": dict(sram_bits=16, dram_access_ratio=4),
+    "sd": dict(sram_bits=10, dram_access_ratio=4),
     "anls1": dict(b=1.02),
     "anls2": dict(b=1.02),
     "ice": dict(bits=6, bucket_flows=4),
@@ -729,3 +729,24 @@ class TestTouchedOnlyRows:
             assert widest <= 24 and total > 30 * widest
         else:
             assert widest > total // 4
+
+
+class TestShardMemoBounded:
+    """The key -> shard memo holds one epoch's keys, not the process's."""
+
+    def test_memo_reset_each_rotation(self):
+        session = StreamSession(scheme_factory("exact"), shards=3,
+                                epoch_packets=400, rng=1)
+        rotations = 0
+        for keys, arrays in _churn_chunks(7, 60, 32):
+            before = session.epoch_index
+            session.ingest_chunk(keys, arrays)
+            rotations += session.epoch_index - before
+            open_keys = set().union(*(state.index
+                                      for state in session._state))
+            assert set(session._shard_of) <= open_keys
+            for key, shard in session._shard_of.items():
+                assert shard == stable_hash(key) % 3
+        assert rotations >= 10
+        session.rotate()
+        assert session._shard_of == {}

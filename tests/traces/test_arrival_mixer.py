@@ -6,13 +6,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.traces.arrival import constant_rate, on_off, poisson
-from repro.traces.mixer import (
-    attack_overlay,
-    filter_flows,
-    merge,
-    relabel,
-    scale_volume,
-)
+from repro.traces.toolkit import merge_traces, renormalize
 from repro.traces.trace import Trace
 
 PACKETS = [("f", 1000)] * 200
@@ -82,65 +76,49 @@ class TestOnOff:
 
 
 class TestMixer:
+    """Trace composition through the toolkit's one composer."""
+
     def _trace(self, name, **flows):
         return Trace({k: v for k, v in flows.items()}, name=name)
 
     def test_relabel(self):
-        t = relabel(self._trace("t", a=[10, 20]), prefix="x/")
-        assert "x/a" in t.flows
-        assert t.name == "x/t"
+        t = merge_traces([self._trace("t", a=[10, 20])], namespace=True)
+        assert t.flows == {"0/a": [10, 20]}
+        assert t.name == "t"
 
     def test_merge_disjoint(self):
-        merged = merge([
+        merged = merge_traces([
             self._trace("t1", a=[10]),
             self._trace("t2", b=[20]),
-        ])
+        ], namespace=False)
         assert set(merged.flows) == {"a", "b"}
 
     def test_merge_collision_rejected(self):
         with pytest.raises(ParameterError):
-            merge([self._trace("t1", a=[10]), self._trace("t2", a=[20])])
+            merge_traces([self._trace("t1", a=[10]),
+                          self._trace("t2", a=[20])], namespace=False)
 
     def test_merge_empty_rejected(self):
         with pytest.raises(ParameterError):
-            merge([])
+            merge_traces([], namespace=False)
+
+    # renormalize scales every flow by target / total packets.
 
     def test_scale_up(self):
-        scaled = scale_volume(self._trace("t", a=[10, 20, 30]), 2.0)
-        assert scaled.true_size("a") == 6
+        scaled = renormalize(self._trace("t", a=[10, 20, 30]), target_pps=6)
+        assert scaled.flows["a"] == [10, 20, 30, 10, 20, 30]
         assert scaled.true_volume("a") == 120
 
     def test_scale_down(self):
-        scaled = scale_volume(self._trace("t", a=[10, 20, 30, 40]), 0.5)
-        assert scaled.true_size("a") == 2
+        scaled = renormalize(self._trace("t", a=[10, 20, 30, 40]),
+                             target_pps=2)
         assert scaled.flows["a"] == [10, 20]
 
     def test_scale_never_empties(self):
-        scaled = scale_volume(self._trace("t", a=[10]), 0.01)
-        assert scaled.true_size("a") == 1
+        scaled = renormalize(self._trace("t", a=[10], b=[20] * 99),
+                             target_pps=1)
+        assert scaled.flows == {"a": [10], "b": [20]}
 
     def test_scale_validation(self):
         with pytest.raises(ParameterError):
-            scale_volume(self._trace("t", a=[10]), 0)
-
-    def test_filter(self):
-        t = self._trace("t", big=[1500] * 10, small=[40])
-        kept = filter_flows(t, lambda flow, lengths: len(lengths) > 5)
-        assert set(kept.flows) == {"big"}
-
-    def test_filter_all_removed(self):
-        with pytest.raises(ParameterError):
-            filter_flows(self._trace("t", a=[10]), lambda f, ls: False)
-
-    def test_attack_overlay(self):
-        base = self._trace("base", legit=[1500] * 5)
-        attacked = attack_overlay(base, num_attack_flows=100,
-                                  packets_per_flow=2, packet_length=40)
-        assert len(attacked) == 101
-        assert attacked.true_volume(("atk", 0)) == 80
-        assert attacked.true_volume("base/legit") == 7500
-
-    def test_attack_validation(self):
-        base = self._trace("base", legit=[1500])
-        with pytest.raises(ParameterError):
-            attack_overlay(base, num_attack_flows=0)
+            renormalize(self._trace("t", a=[10]), target_pps=0)

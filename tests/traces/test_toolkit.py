@@ -51,7 +51,7 @@ class TestRenormalize:
     def test_hits_target_packet_budget(self):
         trace = bursty_trace(num_flows=40, rng=2)
         scaled = renormalize(trace, target_pps=trace.num_packets * 3)
-        # scale_volume rounds per flow; allow a few percent of slack.
+        # renormalize rounds per flow; allow a few percent of slack.
         assert scaled.num_packets == pytest.approx(
             3 * trace.num_packets, rel=0.05)
         assert len(scaled.flows) == len(trace.flows)
