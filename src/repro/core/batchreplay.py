@@ -359,8 +359,8 @@ def run_kernel(
         vector_steps = stats.vector_steps
         tail_packets = stats.tail_packets
         tail_flows = stats.tail_flows
-        columnar_elapsed = time.perf_counter() - start
-        elapsed = columnar_elapsed
+        elapsed = time.perf_counter() - start
+        columnar_elapsed = elapsed - stats.tail_seconds
     else:
         # -- columnar phase: one vector step per packet column --------------
         while t < columns:

@@ -441,7 +441,9 @@ class DiscoKernel(SchemeKernel):
     scalar regimes — memoized full decisions while ``b^c`` can still be
     jumped by one packet, then the log-threshold dwell phase where every
     decision collapses to one float comparison (see
-    :mod:`repro.core.batchreplay` for the derivation).
+    :mod:`repro.core.batchreplay` for the derivation).  Under
+    ``engine="native"`` :func:`repro.core.native.disco_runner` runs both
+    phases in C instead.
     """
 
     supports_tail = True
@@ -459,9 +461,6 @@ class DiscoKernel(SchemeKernel):
         self._ln_b = math.log(self.b)
         self.max_value = (1 << capacity_bits) - 1 if capacity_bits else None
         self._cache = None
-        #: Compiled dwell-loop implementation, injected by the native
-        #: runner for the duration of the tail phase (None = Python loop).
-        self._dwell_impl = None
 
     def native_step(self):
         from repro.core import native
@@ -526,23 +525,20 @@ class DiscoKernel(SchemeKernel):
                     thresholds = (np.log(lengths[idx:]) - np.log(u)) / ln_b
                 else:
                     thresholds = -np.log(u) / ln_b
-            if self._dwell_impl is not None:
-                c = self._dwell_impl(thresholds, float(c), max_value)
+            cc = float(c)
+            if max_value is None:
+                for t_i in thresholds.tolist():
+                    if t_i > cc:
+                        cc += 1.0
             else:
-                cc = float(c)
-                if max_value is None:
-                    for t_i in thresholds.tolist():
-                        if t_i > cc:
+                cap = float(max_value)
+                for t_i in thresholds.tolist():
+                    if t_i > cc:
+                        if cc >= cap:
+                            self.saturation_events += 1
+                        else:
                             cc += 1.0
-                else:
-                    cap = float(max_value)
-                    for t_i in thresholds.tolist():
-                        if t_i > cc:
-                            if cc >= cap:
-                                self.saturation_events += 1
-                            else:
-                                cc += 1.0
-                c = int(cc)
+            c = int(cc)
         counters[lane] = c
 
     def counters(self) -> np.ndarray:

@@ -45,9 +45,10 @@ Bit-identity
   *constant*, so the column phase is a pre-drawn compare-add and the
   tail reuses the kernel's own vectorised mask-and-sum: bit-identical.
 * **DISCO** — the columnar update recomputes transcendentals in C
-  (libm's last-ulp behaviour may differ from NumPy's SIMD kernels), so
-  it is distributionally equivalent; the dwell tail, a bare float
-  compare loop over NumPy-computed thresholds, stays bit-identical.
+  (libm's last-ulp behaviour may differ from NumPy's SIMD kernels), and
+  the tail runs in C on its own pre-drawn stream (the vector tail draws
+  from a scalar Mersenne stream and per-flow thresholds), so it is
+  distributionally equivalent.
 * **SAC / ANLS-II / SD / ICE** — the vector paths draw data-dependent
   amounts of randomness (renormalisation cascades, geometric jump
   rounds, bucket up-scales) that no pre-drawn stream can mirror; the
@@ -64,6 +65,7 @@ import os
 import subprocess
 import tempfile
 import threading
+import time
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -255,6 +257,34 @@ void repro_ice(const double *lengths, const int64_t *offsets,
 
 /* ---------------- DISCO (Algorithm 1) ---------------- */
 
+/* One full Algorithm-1 step: counter c, packet length l, uniform u. */
+static int64_t disco_step(int64_t c, double l, double u,
+                          double ln_b, double bm1, double max_value,
+                          int64_t *sat)
+{
+    double cc = (double)c;
+    double headroom = log1p(l * bm1 * exp(-cc * ln_b)) / ln_b;
+    double nearest = rint(headroom);
+    double guard = 1e-12 * (nearest > 1.0 ? nearest : 1.0);
+    double delta;
+    if (fabs(headroom - nearest) <= guard && nearest > 0.0)
+        delta = nearest - 1.0;
+    else
+        delta = ceil(headroom) - 1.0;
+    if (delta < 0.0) delta = 0.0;
+    double growth = exp(cc * ln_b) * expm1(delta * ln_b) / bm1;
+    double gap = exp((cc + delta) * ln_b);
+    double p = (l - growth) / gap;
+    if (p < 0.0) p = 0.0;
+    if (p > 1.0) p = 1.0;
+    int64_t nc = c + (int64_t)delta + (u < p ? 1 : 0);
+    if (max_value >= 0.0 && (double)nc > max_value) {
+        (*sat)++;
+        nc = (int64_t)max_value;
+    }
+    return nc;
+}
+
 void repro_disco_columns(const double *lengths, const int64_t *offsets,
                          const int64_t *actives, int64_t t_end, int64_t R,
                          int64_t volume, const double *u,
@@ -268,50 +298,62 @@ void repro_disco_columns(const double *lengths, const int64_t *offsets,
             double l = volume ? lengths[offsets[i] + t] : 1.0;
             for (int64_t r = 0; r < R; r++) {
                 int64_t lane = i * R + r;
-                double cc = (double)c[lane];
-                double headroom =
-                    log1p(l * bm1 * exp(-cc * ln_b)) / ln_b;
-                double nearest = rint(headroom);
-                double guard =
-                    1e-12 * (nearest > 1.0 ? nearest : 1.0);
-                double delta;
-                if (fabs(headroom - nearest) <= guard && nearest > 0.0)
-                    delta = nearest - 1.0;
-                else
-                    delta = ceil(headroom) - 1.0;
-                if (delta < 0.0) delta = 0.0;
-                double growth =
-                    exp(cc * ln_b) * expm1(delta * ln_b) / bm1;
-                double gap = exp((cc + delta) * ln_b);
-                double p = (l - growth) / gap;
-                if (p < 0.0) p = 0.0;
-                if (p > 1.0) p = 1.0;
-                int64_t nc = c[lane] + (int64_t)delta
-                    + (u[ui++] < p ? 1 : 0);
-                if (max_value >= 0.0 && (double)nc > max_value) {
-                    (*sat)++;
-                    nc = (int64_t)max_value;
-                }
-                c[lane] = nc;
+                c[lane] = disco_step(c[lane], l, u[ui++], ln_b, bm1,
+                                     max_value, sat);
             }
         }
     }
 }
 
-double repro_disco_dwell(const double *thresholds, int64_t k, double c,
-                         double cap, int64_t *sat)
+/* Tail: flows 0..nflows-1 from packet t_end to their budget, flow-major
+ * (flow, replica, packet), one uniform per packet.  Below c* (the
+ * smallest c >= 1 with b^c above the flow's largest remaining packet)
+ * each packet takes the full decision; from c* on delta is 0 and the
+ * decision is the dwell compare u < l * b^-c. */
+void repro_disco_tail(const double *lengths, const int64_t *offsets,
+                      const int64_t *sizes, int64_t nflows, int64_t t_end,
+                      int64_t R, int64_t volume, const double *u,
+                      double b, double ln_b, double max_value,
+                      int64_t *c, int64_t *sat)
 {
-    if (cap < 0.0) {
-        for (int64_t i = 0; i < k; i++)
-            if (thresholds[i] > c) c += 1.0;
-    } else {
-        for (int64_t i = 0; i < k; i++)
-            if (thresholds[i] > c) {
-                if (c >= cap) (*sat)++;
-                else c += 1.0;
+    int64_t ui = 0;
+    double bm1 = b - 1.0;
+    for (int64_t i = 0; i < nflows; i++) {
+        int64_t n = sizes[i] - t_end;
+        if (n <= 0) continue;
+        const double *pl = lengths + offsets[i] + t_end;
+        double maxlen = 1.0;
+        if (volume) {
+            maxlen = pl[0];
+            for (int64_t k = 1; k < n; k++)
+                if (pl[k] > maxlen) maxlen = pl[k];
+        }
+        double cs = ceil(log(maxlen) / ln_b);
+        if (!(cs >= 1.0)) cs = 1.0;
+        while (pow(b, cs) <= maxlen) cs += 1.0;
+        int64_t c_star = (int64_t)cs;
+        for (int64_t r = 0; r < R; r++) {
+            int64_t lane = i * R + r;
+            int64_t cc = c[lane];
+            int64_t k = 0;
+            for (; k < n && cc < c_star; k++)
+                cc = disco_step(cc, volume ? pl[k] : 1.0, u[ui++], ln_b,
+                                bm1, max_value, sat);
+            double inv = exp(-(double)cc * ln_b);
+            for (; k < n; k++) {
+                double l = volume ? pl[k] : 1.0;
+                if (u[ui++] < l * inv) {
+                    if (max_value >= 0.0 && (double)cc >= max_value) {
+                        (*sat)++;
+                    } else {
+                        cc++;
+                        inv = exp(-(double)cc * ln_b);
+                    }
+                }
             }
+            c[lane] = cc;
+        }
     }
-    return c;
 }
 
 /* ---------------- ANLS-II: geometric-jump sampling ---------------- */
@@ -658,7 +700,6 @@ def _compile_cc() -> Optional[ctypes.CDLL]:
         os.replace(tmp_path, lib_path)
     try:
         lib = ctypes.CDLL(lib_path)
-        lib.repro_disco_dwell.restype = ctypes.c_double
     except OSError:
         return None
     return _self_check_cc(lib)
@@ -676,12 +717,20 @@ def _self_check_cc(lib: ctypes.CDLL) -> Optional[ctypes.CDLL]:
                         ctypes.c_int64(1), _p(totals))
         if int(totals[0]) != 5:
             return None
-        th = np.array([1.5, 0.2, 3.0], dtype=np.float64)
+        # DISCO tail, b = 2, size mode, three packets from c = 0: the
+        # general step at c = 0 advances surely (p = 1), then the dwell
+        # compares u < 2^-c: 0.25 < 1/2 advances, 0.3 < 1/4 does not.
+        u = np.array([0.5, 0.25, 0.3], dtype=np.float64)
+        c = np.zeros(1, dtype=np.int64)
         sat = np.zeros(1, dtype=np.int64)
-        got = lib.repro_disco_dwell(_p(th), ctypes.c_int64(3),
-                                    ctypes.c_double(0.0),
-                                    ctypes.c_double(-1.0), _p(sat))
-        if got != 2.0:
+        lib.repro_disco_tail(_p(lengths), _p(offsets),
+                             _p(np.array([3], dtype=np.int64)),
+                             ctypes.c_int64(1), ctypes.c_int64(0),
+                             ctypes.c_int64(1), ctypes.c_int64(0), _p(u),
+                             ctypes.c_double(2.0),
+                             ctypes.c_double(math.log(2.0)),
+                             ctypes.c_double(-1.0), _p(c), _p(sat))
+        if int(c[0]) != 2 or int(sat[0]) != 0:
             return None
     except Exception:
         return None
@@ -887,6 +936,9 @@ class NativeStats:
     vector_steps: int
     tail_packets: int
     tail_flows: int
+    #: Time spent in the runner's tail phase (0 for runners without
+    #: one); the batch driver books the rest as the columnar phase.
+    tail_seconds: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -960,6 +1012,7 @@ def anls_runner(kernel):
                 ctypes.c_int64(len(ptab)), ctypes.c_double(ln_b),
                 _p(kernel.c))
         tail_packets = tail_flows = 0
+        start = time.perf_counter()
         if t_end < columns:
             sizes = compiled.sizes
             offsets = compiled.offsets
@@ -993,33 +1046,30 @@ def anls_runner(kernel):
                             _p(kernel.c[lane:lane + 1]))
                 tail_packets += n
                 tail_flows += 1
-        return NativeStats(t_end, tail_packets, tail_flows)
+        return NativeStats(t_end, tail_packets, tail_flows,
+                           time.perf_counter() - start)
 
     return run
 
 
 def disco_runner(kernel):
-    """DISCO: Algorithm 1 lowered to C for the columnar phase.
+    """DISCO: the whole replay as two C calls, column phase then tail.
 
-    Distributionally equivalent (libm transcendentals may differ from
-    NumPy's SIMD kernels in the last ulp); the tail reuses the Python
-    general phase (memoized decisions) with the dwell compare loop
-    handed to :func:`repro_disco_dwell`, which is bit-identical.
+    The column phase consumes the vector path's exact uniform stream;
+    the tail then consumes one pre-drawn uniform per tail packet per
+    replica, flow-major (:func:`repro_disco_tail`): full Algorithm-1
+    decisions below the flow's ``c*``, the dwell compare
+    ``u < l * b^-c`` from there on.  Distributionally equivalent to the
+    vector path (libm transcendentals may differ from NumPy's SIMD
+    kernels in the last ulp, and the tail draws from a different
+    stream).  Rows without packets draw nothing, so a replay over only a
+    shard's touched rows consumes the same stream as one over the whole
+    slice.
     """
     _probe()
     cc = _cc
     if cc is None:
         return None
-
-    def dwell(thresholds: np.ndarray, c: float, max_value) -> int:
-        sat = np.zeros(1, dtype=np.int64)
-        cap = -1.0 if max_value is None else float(max_value)
-        got = cc.repro_disco_dwell(_p(thresholds),
-                                   ctypes.c_int64(len(thresholds)),
-                                   ctypes.c_double(c), ctypes.c_double(cap),
-                                   _p(sat))
-        kernel.saturation_events += int(sat[0])
-        return int(got)
 
     def run(compiled, mode: str, min_lanes: int) -> NativeStats:
         volume = 1 if mode == "volume" else 0
@@ -1031,37 +1081,33 @@ def disco_runner(kernel):
         sat = np.zeros(1, dtype=np.int64)
         max_value = -1.0 if kernel.max_value is None \
             else float(kernel.max_value)
+        counters = kernel.state.counters
         cc.repro_disco_columns(
             _p(compiled.lengths), _p(compiled.offsets), _p(actives),
             ctypes.c_int64(t_end), ctypes.c_int64(R),
             ctypes.c_int64(volume), _p(u), ctypes.c_double(kernel._ln_b),
             ctypes.c_double(kernel.b - 1.0), ctypes.c_double(max_value),
-            _p(kernel.state.counters), _p(sat))
-        kernel.saturation_events += int(sat[0])
+            _p(counters), _p(sat))
         tail_packets = tail_flows = 0
+        tail_seconds = 0.0
         if t_end < columns:
-            sizes = compiled.sizes
-            offsets = compiled.offsets
-            lengths = compiled.lengths
-            active = int(actives[t_end])
-            kernel._dwell_impl = dwell
-            try:
-                for i in range(active):
-                    budget = int(sizes[i])
-                    if budget <= t_end:
-                        continue
-                    n = budget - t_end
-                    lens = None
-                    if volume:
-                        base = int(offsets[i])
-                        lens = lengths[base + t_end:base + budget]
-                    for r in range(R):
-                        kernel.tail_flow(i * R + r, lens, n)
-                    tail_packets += n
-                    tail_flows += 1
-            finally:
-                kernel._dwell_impl = None
-        return NativeStats(t_end, tail_packets, tail_flows)
+            # Flows are sorted by descending budget, so the active prefix
+            # at t_end is exactly the flows with packets left.
+            tail_flows = int(actives[t_end])
+            tail_packets = (int(compiled.sizes[:tail_flows].sum())
+                            - tail_flows * t_end)
+            start = time.perf_counter()
+            u = gen.random(tail_packets * R)
+            cc.repro_disco_tail(
+                _p(compiled.lengths), _p(compiled.offsets),
+                _p(compiled.sizes), ctypes.c_int64(tail_flows),
+                ctypes.c_int64(t_end), ctypes.c_int64(R),
+                ctypes.c_int64(volume), _p(u), ctypes.c_double(kernel.b),
+                ctypes.c_double(kernel._ln_b), ctypes.c_double(max_value),
+                _p(counters), _p(sat))
+            tail_seconds = time.perf_counter() - start
+        kernel.saturation_events += int(sat[0])
+        return NativeStats(t_end, tail_packets, tail_flows, tail_seconds)
 
     return run
 
@@ -1178,6 +1224,7 @@ def aee_runner(kernel):
             ctypes.c_int64(kernel.max_value), _p(kernel.c), _p(sat))
         kernel.saturation_events += int(sat[0])
         tail_packets = tail_flows = 0
+        start = time.perf_counter()
         if t_end < columns:
             sizes = compiled.sizes
             offsets = compiled.offsets
@@ -1196,7 +1243,8 @@ def aee_runner(kernel):
                     kernel.tail_flow(i * R + r, lens, n)
                 tail_packets += n
                 tail_flows += 1
-        return NativeStats(t_end, tail_packets, tail_flows)
+        return NativeStats(t_end, tail_packets, tail_flows,
+                           time.perf_counter() - start)
 
     return run
 

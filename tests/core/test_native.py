@@ -26,7 +26,10 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import native
+from repro.core.batchreplay import run_kernel
+from repro.core.kernels import DiscoKernel, kernel_spec
 from repro.counters.anls import Anls, AnlsBytesNaive
 from repro.counters.exact import ExactCounters
 from repro.errors import ParameterError
@@ -205,6 +208,89 @@ class TestDistributionalEquivalence:
         assert sn.flushes > 0
         assert sn.flushes == sv.flushes
         assert sn.bus_bits_transferred == sv.bus_bits_transferred
+
+
+# ---------------------------------------------------------------------------
+# DISCO's compiled tail (general + dwell regimes in one C call)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def tail_heavy():
+    # 60 flows stay below the 128-lane column floor from the first
+    # packet, so every packet is a tail packet.
+    return compile_trace(nlanr_like(num_flows=60, mean_flow_bytes=200_000,
+                                    max_flow_bytes=2_000_000, rng=3))
+
+
+def disco_kernel_run(compiled, engine, seed=0):
+    spec = kernel_spec(make_scheme("disco", b=B))
+    return run_kernel(compiled, spec.factory, mode=spec.mode, rng=seed,
+                      engine=engine, telemetry=obs.Telemetry())
+
+
+@needs_native
+class TestDiscoNativeTail:
+    @pytest.mark.parametrize("mode", ["volume", "size"])
+    def test_errors_agree_with_vector(self, tail_heavy, mode):
+        vec, nat = [], []
+        for seed in range(8):
+            rv, rn = both_engines(
+                lambda: make_scheme("disco", b=B, mode=mode, seed=seed),
+                tail_heavy)
+            vec.append(avg_error(rv))
+            nat.append(avg_error(rn))
+        assert abs(np.mean(vec) - np.mean(nat)) < 0.02
+
+    def test_saturation_agrees_with_vector(self, tail_heavy):
+        sv = make_scheme("disco", b=B, seed=0, capacity_bits=8)
+        sn = make_scheme("disco", b=B, seed=0, capacity_bits=8)
+        replay(sv, tail_heavy, order="asis", engine="vector")
+        replay(sn, tail_heavy, order="asis", engine="native")
+        assert sn.max_counter_value() <= 255
+        assert sv.saturation_events > 0
+        assert abs(sn.saturation_events - sv.saturation_events) \
+            < 0.05 * sv.saturation_events
+
+    def test_no_python_tail(self, tail_heavy, monkeypatch):
+        def boom(self, lane, lengths, count):
+            raise AssertionError("native DISCO ran the Python tail")
+
+        monkeypatch.setattr(DiscoKernel, "tail_flow", boom)
+        result = replay(make_scheme("disco", b=B, seed=1), tail_heavy,
+                        order="asis", engine="native")
+        assert result.engine == "native"
+        session = StreamSession(scheme_factory("disco", b=B, seed=1),
+                                shards=2, chunk_packets=4096,
+                                epoch_packets=tail_heavy.num_packets // 2,
+                                rng=2, engine="native")
+        session.consume(tail_heavy)
+        assert session.finish().packets == tail_heavy.num_packets
+
+    @pytest.mark.parametrize("fixture", ["tail_heavy", "compiled"])
+    def test_geometry_matches_vector(self, request, fixture):
+        trace = request.getfixturevalue(fixture)
+        rv = disco_kernel_run(trace, "vector")
+        rn = disco_kernel_run(trace, "native")
+        assert rn.tail_packets == rv.tail_packets > 0
+        assert rn.vector_steps == rv.vector_steps
+        for name in ("batch.tail_flows", "batch.tail_packets"):
+            assert rn.telemetry["counters"][name] \
+                == rv.telemetry["counters"][name]
+
+    def test_same_seed_same_estimates(self, tail_heavy):
+        first = disco_kernel_run(tail_heavy, "native", seed=9)
+        again = disco_kernel_run(tail_heavy, "native", seed=9)
+        assert np.array_equal(first.counters, again.counters)
+        assert np.array_equal(first.estimates, again.estimates)
+
+    def test_tail_phase_is_timed(self, tail_heavy):
+        result = disco_kernel_run(tail_heavy, "native")
+        timers = result.telemetry["timers"]
+        assert result.telemetry["counters"]["batch.native"] == 1
+        assert timers["batch.tail_phase"]["seconds"] > 0
+        total = (timers["batch.columnar_phase"]["seconds"]
+                 + timers["batch.tail_phase"]["seconds"])
+        assert total == pytest.approx(result.elapsed_seconds)
 
 
 # ---------------------------------------------------------------------------
