@@ -35,7 +35,8 @@ and
    sizes on a DISCO replay — one million flows in full mode, 100k under
    ``--quick``) and fails if ``pools`` or ``morris`` costs more than
    :data:`MEM_COMPACT_LIMIT` of dense,
-7. streams the scenario matrix's churn cell (trajectory only) and a
+7. streams the scenario matrix's churn cell (trajectory only: the
+   warm median of repeated runs, with its spread) and a
    chunk-only :data:`BIG_RSS_FLOWS`-flow big workload end-to-end in a
    subprocess, failing if the child's peak RSS exceeds
    :data:`BIG_RSS_LIMIT_MB` — the BigTrace memory contract, measured
@@ -132,8 +133,10 @@ STREAM_FLOOR = 0.5
 #: come in under it on any heavy-tailed mix.
 MEM_COMPACT_LIMIT = 0.25
 #: Counter-word budget for the trajectory-only churn stream measurement
-#: (the scenario matrix's own DISCO cell, quick-sized).
+#: (the scenario matrix's own DISCO cell).
 CHURN_STREAM_BITS = 12
+#: Timed churn-stream runs (after one warm-up) the median is taken over.
+CHURN_STREAM_REPEATS = 7
 #: Big-workload RSS gate: a chunk-only :func:`repro.traces.big_trace`
 #: this many flows wide must stream end-to-end through ``stream()`` in a
 #: subprocess whose peak RSS stays under :data:`BIG_RSS_LIMIT_MB`.
@@ -506,29 +509,45 @@ def measure_fault_seam(iterations: int = FAULT_SEAM_ITERATIONS,
 def measure_churn_stream() -> Dict[str, float]:
     """Sharded-stream throughput on the churn scenario (trajectory only).
 
-    Streams the quick churn scenario from the scenario matrix
-    (:mod:`repro.harness.scenarios`) through ``stream()`` with the
-    matrix's own sized DISCO factory and records packets/second as
-    ``perf_churn_stream_pps``.  History-only, never gated: absolute
-    throughput is machine-bound, and the cross-machine-stable claim
-    (stream vs one-shot replay) is already enforced by
-    :data:`STREAM_FLOOR` on the NLANR workload.  What the trajectory
-    adds is the *churn* shape — thousands of short-lived flows arriving
-    and dying per epoch — which stresses the per-epoch flush path the
-    steady NLANR mix never touches.
+    Streams the full-size churn scenario from the scenario matrix
+    (:mod:`repro.harness.scenarios`, ~60k packets, several chunks per
+    epoch) through ``stream()`` with the matrix's own sized DISCO
+    factory.  One untimed warm-up run comes first (a cold first stream
+    pays imports, kernel probes and allocator growth several times over
+    its packet work); then :data:`CHURN_STREAM_REPEATS` timed runs give
+    ``perf_churn_stream_pps`` (their median) and
+    ``perf_churn_stream_pps_iqr`` (their interquartile range).
+    History-only, never gated: absolute throughput is machine-bound,
+    and the cross-machine-stable claim (stream vs one-shot replay) is
+    already enforced by :data:`STREAM_FLOOR` on the NLANR workload.
+    What the trajectory adds is the *churn* shape — thousands of
+    short-lived flows arriving and dying per epoch — which stresses the
+    per-epoch flush path the steady NLANR mix never touches.  The
+    scenario's flow keys are strings (``"churn/e<e>/f<i>"``), so every
+    key new to an epoch takes the per-key ``stable_hash`` routing path,
+    not the vectorised int64 one.
     """
     from repro.facade import stream
     from repro.harness import scenarios
 
-    trace = scenarios.build_scenario("churn", quick=True)
+    trace = scenarios.build_scenario("churn", quick=False)
     max_length = max(trace.true_totals("volume").values())
     factory = scenarios._sized_factory("disco", CHURN_STREAM_BITS,
                                        max_length, scenarios.SEED + 17)
-    result = stream(factory, trace, shards=2,
-                    epoch_packets=max(1, trace.num_packets // 3),
-                    rng=scenarios.SEED + 29, engine="vector")
+
+    def pps() -> float:
+        result = stream(factory, trace, shards=2,
+                        epoch_packets=max(1, trace.num_packets // 3),
+                        rng=scenarios.SEED + 29, engine="vector")
+        return result.packets / result.elapsed_seconds
+
+    pps()  # warm-up, untimed
+    samples = [pps() for _ in range(CHURN_STREAM_REPEATS)]
+    q1, median, q3 = statistics.quantiles(samples, n=4)
     return {
-        "perf_churn_stream_pps": result.packets / result.elapsed_seconds,
+        "perf_churn_stream_pps": median,
+        "perf_churn_stream_pps_iqr": q3 - q1,
+        "perf_churn_stream_packets": float(trace.num_packets),
     }
 
 
@@ -778,8 +797,10 @@ def main(argv=None) -> int:
 
     metrics.update(measure_churn_stream())
     print(f"churn stream throughput: "
-          f"{metrics['perf_churn_stream_pps'] / 1e6:6.2f} Mpps "
-          f"(scenario-matrix churn cell; history only, not gated)")
+          f"{metrics['perf_churn_stream_pps'] / 1e6:6.2f} Mpps median "
+          f"(IQR {metrics['perf_churn_stream_pps_iqr'] / 1e6:.2f} Mpps over "
+          f"{CHURN_STREAM_REPEATS} warm runs; scenario-matrix churn cell; "
+          f"history only, not gated)")
 
     metrics.update(measure_big_rss())
     big_rss_mb = metrics["perf_big_peak_rss_mb"]

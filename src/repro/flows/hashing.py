@@ -12,7 +12,10 @@ dedicated one).  This module provides stable 64-bit hashes:
   hardware hash unit computes;
 * :func:`stable_hash` — dispatch over the key types the library uses
   (str, bytes, int, tuples thereof, and
-  :class:`~repro.flows.packet.FiveTuple`).
+  :class:`~repro.flows.packet.FiveTuple`);
+* :func:`fnv1a64_int64` — :func:`stable_hash` of a whole int64 array
+  at once, bit for bit (the streaming session's shard-routing fast
+  path).
 """
 
 from __future__ import annotations
@@ -20,9 +23,12 @@ from __future__ import annotations
 import zlib
 from typing import Hashable
 
+import numpy as np
+
 from repro.errors import ParameterError
 
-__all__ = ["fnv1a64", "crc32_pair", "stable_hash", "encode_key"]
+__all__ = ["fnv1a64", "crc32_pair", "stable_hash", "encode_key",
+           "fnv1a64_int64"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -85,3 +91,33 @@ def stable_hash(key: Hashable, algorithm: str = "fnv") -> int:
     if algorithm == "crc":
         return crc32_pair(data)
     raise ParameterError(f"unknown hash algorithm {algorithm!r}")
+
+
+def fnv1a64_int64(keys) -> np.ndarray:
+    """``[stable_hash(int(k)) for k in keys]`` as one uint64 array.
+
+    FNV-1a over :func:`encode_key`'s int encoding, vectorised: ``b"i"``,
+    a 2-byte big-endian length ``L = (bit_length + 8) // 8 + 1``, then
+    ``L`` signed big-endian bytes.  ``L`` is 2..10 for int64 values, so
+    each key folds in at most ten value bytes, the most significant
+    first; bytes above the eighth are sign extension.
+    """
+    values = np.asarray(keys, dtype=np.int64)
+    raw = values.view(np.uint64)
+    negative = values < 0
+    magnitude = np.where(negative, ~raw + np.uint64(1), raw)
+    # L - 2 == bit_length // 8 == how many of 2^7, 2^15, ..., 2^63
+    # the magnitude reaches.
+    width = np.full(values.shape, 2, dtype=np.int64)
+    for j in range(1, 9):
+        width += magnitude >= np.uint64(1 << (8 * j - 1))
+    prime = np.uint64(_FNV_PRIME)
+    value = np.full(values.shape, _FNV_OFFSET, dtype=np.uint64)
+    for byte in b"i\x00":  # type tag, then the length's high byte
+        value = (value ^ np.uint64(byte)) * prime
+    value = (value ^ width.astype(np.uint64)) * prime
+    sign = np.where(negative, np.uint64(0xFF), np.uint64(0))
+    for p in range(9, -1, -1):
+        byte = sign if p >= 8 else (raw >> np.uint64(8 * p)) & np.uint64(0xFF)
+        value = np.where(width > p, (value ^ byte) * prime, value)
+    return value

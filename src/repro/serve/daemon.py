@@ -161,13 +161,14 @@ class ServeDaemon:
         async for keys, length_arrays in self.feed.batches(chunk_packets,
                                                            start=start):
             _faults.fire("serve.ingest", unit=batch_index)
-            packets = sum(int(lens.size) for lens in length_arrays)
-            volume = sum(int(round(float(lens.sum())))
-                         for lens in length_arrays)
+            packets = self.session.packets_consumed
+            volume = self.session.volume_consumed
             self.session.ingest_chunk(keys, length_arrays)
             self.telemetry.count("serve.ingest.chunks")
-            self.telemetry.count("serve.ingest.packets", packets)
-            self.telemetry.count("serve.ingest.bytes", volume)
+            self.telemetry.count("serve.ingest.packets",
+                                 self.session.packets_consumed - packets)
+            self.telemetry.count("serve.ingest.bytes",
+                                 self.session.volume_consumed - volume)
             self._chunks_since_checkpoint += 1
             if (self.checkpoint_every is not None
                     and self.session.checkpoint_path is not None

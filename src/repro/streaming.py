@@ -22,6 +22,19 @@ reproduces that shape on top of the columnar kernel stack:
   :attr:`~repro.core.kernels.SchemeKernel.lane_local` kernels the rows
   are the chunk's keys only, so a chunk costs O(chunk), not O(epoch
   keys); coupled kernels (SAC, SD, ICE) replay every lane.
+* Routing is columnar.  The open epoch interns its keys to ids (one
+  dict, key → id); int64 columns give each id its shard and its lane.
+  A chunk looks its keys up in one C-level pass, hashes only the keys
+  the epoch has not seen (all at once through
+  :func:`~repro.flows.hashing.fnv1a64_int64` when they are plain ints,
+  else one :func:`~repro.flows.hashing.stable_hash` per key) and reads
+  shards and lanes by fancy indexing.  Each shard keeps its keys in
+  lane order and its per-lane truths as an int64 column.  Every table
+  resets with the epoch, so it holds one epoch's keys at most.
+* A chunk commits whole or not at all: its lengths are checked (finite,
+  > 0) before anything changes, and lanes, truths, ids and carried
+  state are written only in the scatter step, after every shard-chunk
+  replay of the chunk has returned.
 * Shard-chunk replays run serially or over the persistent process pool
   (:func:`repro.harness.parallel.run_tasks`).  Each replay's random
   stream is a pure ``SeedSequence`` child keyed by
@@ -64,6 +77,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -73,7 +87,7 @@ from repro import obs
 from repro.core.batchreplay import run_kernel
 from repro.core.kernels import KernelState, kernel_scheme_names, kernel_spec
 from repro.errors import ParameterError
-from repro.flows.hashing import stable_hash
+from repro.flows.hashing import fnv1a64_int64, stable_hash
 from repro.traces.compiled import CompiledTrace, compile_trace
 from repro.traces.trace import Trace
 
@@ -299,6 +313,19 @@ def _readout(spec, state: KernelState) -> Tuple[np.ndarray, np.ndarray]:
     return kernel.estimates()[::R], kernel.counters()[::R]
 
 
+def _grown(column: np.ndarray, size: int, fill: int) -> np.ndarray:
+    """``column`` with room for ``size`` entries; new slots read ``fill``.
+
+    Capacity at least doubles, so growing a table key by key costs
+    amortised O(1) per key.
+    """
+    if column.size >= size:
+        return column
+    out = np.full(max(size, 2 * column.size, 64), fill, dtype=column.dtype)
+    out[:column.size] = column
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the session
 # ---------------------------------------------------------------------------
@@ -443,10 +470,9 @@ class StreamSession:
         self._epoch_tel = obs.Telemetry() if self._enabled else obs.NULL_TELEMETRY
         self._total_tel = obs.Telemetry() if self._enabled else obs.NULL_TELEMETRY
 
-        self._shard_of: Dict[Hashable, int] = {}
         #: Per shard, the open epoch's lanes.
         self._state: List[KernelState] = self._empty_states()
-        self._truths: List[Dict[Hashable, int]] = [dict() for _ in range(shards)]
+        self._reset_tables()
 
         self.snapshots: List[EpochSnapshot] = []
         self.epoch_index = 0
@@ -509,14 +535,10 @@ class StreamSession:
             lens.append(float(length))
             count += 1
             if count >= self.chunk_packets:
-                self._ingest(batch_keys,
-                             [np.asarray(batch_map[k], dtype=np.float64)
-                              for k in batch_keys])
+                self._ingest(batch_keys, [batch_map[k] for k in batch_keys])
                 batch_keys, batch_map, count = [], {}, 0
         if count:
-            self._ingest(batch_keys,
-                         [np.asarray(batch_map[k], dtype=np.float64)
-                          for k in batch_keys])
+            self._ingest(batch_keys, [batch_map[k] for k in batch_keys])
 
     def ingest_chunk(self, keys: List[Hashable],
                      length_arrays: List[np.ndarray]) -> None:
@@ -527,16 +549,16 @@ class StreamSession:
         ``length_arrays[i]`` its packet lengths for this chunk, exactly
         the shape :meth:`~repro.traces.compiled.CompiledTrace.iter_chunks`
         yields.  Watermark rotation and auto-checkpointing apply as for
-        :meth:`consume`.
+        :meth:`consume`.  A chunk with a length that is not finite and
+        > 0 raises :class:`~repro.errors.ParameterError` before the
+        session changes at all.
         """
         if len(keys) != len(length_arrays):
             raise ParameterError(
                 f"ingest_chunk needs parallel lists; got {len(keys)} keys "
                 f"and {len(length_arrays)} length arrays")
         if keys:
-            self._ingest(list(keys),
-                         [np.asarray(lens, dtype=np.float64)
-                          for lens in length_arrays])
+            self._ingest(list(keys), list(length_arrays))
 
     # -- live queries --------------------------------------------------------
 
@@ -570,53 +592,104 @@ class StreamSession:
 
     # -- internals -----------------------------------------------------------
 
-    def _shard(self, key: Hashable) -> int:
-        shard = self._shard_of.get(key)
-        if shard is None:
-            shard = stable_hash(key) % self.shards
-            self._shard_of[key] = shard
-        return shard
+    def _reset_tables(self) -> None:
+        """Empty the open epoch's key tables (ids, shards, lanes, truths)."""
+        #: key -> epoch-scoped id, for every key with a committed lane.
+        self._ids: Dict[Hashable, int] = {}
+        #: Per id: its shard, and its lane there (-1 until committed).
+        self._id_shard = np.zeros(0, dtype=np.int64)
+        self._id_lane = np.zeros(0, dtype=np.int64)
+        #: Per shard: keys in lane order, and each lane's epoch truth.
+        self._lane_keys: List[List[Hashable]] = [[] for _ in range(self.shards)]
+        self._lane_truth: List[np.ndarray] = [np.zeros(0, dtype=np.int64)
+                                              for _ in range(self.shards)]
+
+    def _shard_truths(self) -> List[Dict[Hashable, int]]:
+        """Per shard, ``{flow: truth}`` in lane order."""
+        return [dict(zip(keys, truth[:len(keys)].tolist()))
+                for keys, truth in zip(self._lane_keys, self._lane_truth)]
+
+    def _load_tables(self, truths: List[Dict[Hashable, int]]) -> None:
+        """Rebuild the key tables from restored lanes and per-shard truths."""
+        self._reset_tables()
+        shard_of, lane_of = [], []
+        for shard, (state, shard_truths) in enumerate(zip(self._state, truths)):
+            keys = sorted(state.index, key=state.index.get)
+            self._lane_keys[shard] = keys
+            self._lane_truth[shard] = np.fromiter(
+                map(shard_truths.get, keys, repeat(0)), dtype=np.int64,
+                count=len(keys))
+            self._ids.update(zip(keys, range(len(self._ids),
+                                             len(self._ids) + len(keys))))
+            shard_of.append(np.full(len(keys), shard, dtype=np.int64))
+            lane_of.append(np.arange(len(keys), dtype=np.int64))
+        self._id_shard = np.concatenate(shard_of)
+        self._id_lane = np.concatenate(lane_of)
+
+    def _hash_shards(self, keys: List[Hashable]) -> np.ndarray:
+        """``stable_hash(key) % shards`` for each key, as one int64 array.
+
+        Plain ints that fit int64 hash in one vectorised pass; any other
+        key (``bool``, wider ints, str, tuples, ``FiveTuple``) goes
+        through :func:`stable_hash` one by one.
+        """
+        if set(map(type, keys)) == {int}:
+            try:
+                values = np.array(keys, dtype=np.int64)
+            except OverflowError:
+                pass
+            else:
+                return (fnv1a64_int64(values)
+                        % np.uint64(self.shards)).astype(np.int64)
+        return np.fromiter((stable_hash(key) % self.shards for key in keys),
+                           dtype=np.int64, count=len(keys))
 
     def _shard_chunk_trace(self, shard: int, keys: List[Hashable],
-                           pos: np.ndarray, sizes: np.ndarray,
-                           sums: np.ndarray,
-                           length_arrays: List[np.ndarray]):
+                           ids: np.ndarray, pos: np.ndarray,
+                           starts: np.ndarray, sizes: np.ndarray,
+                           sums: np.ndarray, flat: np.ndarray):
         """Compile one shard's replay rows for the chunk, with their carry-in.
 
-        ``pos`` indexes the chunk's keys routed to this shard.  The rows
+        ``pos`` indexes the chunk's keys routed to this shard, whose
+        lengths are ``flat[starts[i]:starts[i] + sizes[i]]``.  The rows
         are those keys for a lane-local kernel, else every lane of the
         shard (untouched ones as zero-packet rows).  Rows sort by
         descending chunk packets, ties by lane: the order of a slice over
         every lane, so either row set draws the same uniforms.
 
-        Returns ``(trace, resume, rows, new_keys, columns)``: the carry-in
-        gathered by lane, the rows' lanes, the keys that take lanes
-        ``n, n + 1, ...`` in :meth:`_scatter`, and the decoded columns.
+        Returns ``(trace, resume, rows, lanes, columns)``: the carry-in
+        gathered by lane, the rows' lanes, each ``pos`` key's lane (keys
+        new to the shard take ``n, n + 1, ...`` in chunk order) and the
+        decoded columns.  Nothing is written back here.
         """
         state = self._state[shard]
-        n = len(state.index)
-        lanes = np.fromiter((state.index.get(keys[i], -1)
-                             for i in pos.tolist()),
-                            dtype=np.int64, count=pos.size)
+        lane_keys = self._lane_keys[shard]
+        n = len(lane_keys)
+        lanes = self._id_lane[ids[pos]]
         fresh = np.flatnonzero(lanes < 0)
         lanes[fresh] = n + np.arange(fresh.size)
-        new_keys = [keys[i] for i in pos[fresh].tolist()]
         if self._lane_local:
-            rows, src, row_keys = lanes, pos, [keys[i] for i in pos.tolist()]
+            rows, src = lanes, pos
         else:
             rows = np.arange(n + fresh.size)
             src = np.full(rows.size, -1, dtype=np.int64)
             src[lanes] = pos
-            row_keys = sorted(state.index, key=state.index.get) + new_keys
         row_sizes = np.where(src >= 0, sizes[src], 0)
         order = np.lexsort((rows, -row_sizes))
         rows, src, row_sizes = rows[order], src[order], row_sizes[order]
-        row_keys = [row_keys[i] for i in order.tolist()]
-        active = src[row_sizes > 0]
+        if self._lane_local:
+            row_keys = list(map(keys.__getitem__, src.tolist()))
+        else:
+            lane_keys = lane_keys + [keys[i] for i in pos[fresh].tolist()]
+            row_keys = list(map(lane_keys.__getitem__, rows.tolist()))
         offsets = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(row_sizes, out=offsets[1:])
-        lengths = np.concatenate([length_arrays[i] for i in active.tolist()]
-                                 or [np.zeros(0)])
+        # Active rows are a prefix (sizes descend); gather their lengths
+        # segment by segment out of the chunk's flat column.
+        active = int(np.count_nonzero(row_sizes))
+        lengths = flat[np.repeat(starts[src[:active]] - offsets[:active],
+                                 row_sizes[:active])
+                       + np.arange(offsets[active])]
         trace = CompiledTrace(
             name=f"{self.name}:shard{shard}", keys=row_keys, lengths=lengths,
             offsets=offsets, sizes=row_sizes,
@@ -624,30 +697,41 @@ class StreamSession:
         columns = state.dense_arrays()
         carried = np.flatnonzero(rows < n)
         resume = KernelState(
-            index={row_keys[i]: j for j, i in enumerate(carried.tolist())},
+            index=dict(zip(map(row_keys.__getitem__, carried.tolist()),
+                           range(carried.size))),
             arrays={name: col[rows[carried]] for name, col in columns.items()},
             scalars=state.scalars, replicas=state.replicas)
-        return trace, resume, rows, new_keys, columns
+        return trace, resume, rows, lanes, columns
 
     def _scatter(self, shard: int, carried: KernelState,
-                 trace: CompiledTrace, rows: np.ndarray,
-                 new_keys: List[Hashable],
-                 columns: Dict[str, np.ndarray]) -> None:
-        """Commit one shard-chunk: add its new lanes, write its rows back.
+                 keys: List[Hashable], ids: np.ndarray, amounts: np.ndarray,
+                 trace: CompiledTrace, rows: np.ndarray, pos: np.ndarray,
+                 lanes: np.ndarray, columns: Dict[str, np.ndarray]) -> None:
+        """Commit one shard-chunk: lanes, ids, truths, then its rows.
 
         A compact store re-encodes every lane, replayed rows first: the
         layout of a slice over every lane, so a Morris encode draws the
         same randomness whichever row set ran.
         """
         state = self._state[shard]
-        n = len(state.index)
+        lane_keys = self._lane_keys[shard]
+        n = len(lane_keys)
+        new = pos[lanes >= n]  # chunk order == lane order
+        new_keys = list(map(keys.__getitem__, new.tolist()))
         if self._lane_local:
             state.index.update(zip(new_keys, range(n, n + len(new_keys))))
         else:
             # Every lane was replayed: keep the index in row order, the
             # layout read-outs load coupled state in.
             state.index = dict(zip(trace.keys, rows.tolist()))
-        total = len(state.index) * state.replicas
+        lane_keys.extend(new_keys)
+        self._ids.update(zip(new_keys, ids[new].tolist()))
+        self._id_lane[ids[pos]] = lanes
+        truth = _grown(self._lane_truth[shard], len(lane_keys), 0)
+        truth[lanes] += amounts[pos]
+        self._lane_truth[shard] = truth
+
+        total = len(lane_keys) * state.replicas
         for name, out in carried.arrays.items():
             col = columns.get(name, out[:0])
             if col.size < total:
@@ -676,7 +760,12 @@ class StreamSession:
 
     def _ingest(self, keys: List[Hashable],
                 length_arrays: List[np.ndarray]) -> None:
-        """Route one chunk to its shards, replay them, advance watermarks."""
+        """Route one chunk to its shards, replay them, advance watermarks.
+
+        Stages (timed as ``stream.stage.*`` when telemetry is on): route
+        (merge, check, intern, shard), gather (per-shard rows and
+        carry-in), kernel (the replays), scatter (the commit).
+        """
         start = time.perf_counter()
         if len(set(keys)) != len(keys):
             merged: Dict[Hashable, np.ndarray] = {}
@@ -686,26 +775,39 @@ class StreamSession:
                                else np.concatenate([previous, lens]))
             keys, length_arrays = list(merged), list(merged.values())
         count = len(keys)
-        sizes = np.fromiter((lens.size for lens in length_arrays),
-                            dtype=np.int64, count=count)
+        sizes = np.fromiter(map(len, length_arrays), dtype=np.int64,
+                            count=count)
+        flat = (np.concatenate(length_arrays, dtype=np.float64) if count
+                else np.zeros(0))
+        if not (np.all(flat > 0) and np.all(np.isfinite(flat))):
+            raise ParameterError(
+                "packet lengths must be finite and > 0; chunk rejected")
         # Per-key byte sums in one pass: the non-empty segments tile the
-        # concatenation exactly, so reduceat needs only their starts.
+        # flat column exactly, so reduceat needs only their starts.
+        starts = np.cumsum(sizes) - sizes
         sums = np.zeros(count, dtype=np.float64)
         filled = np.flatnonzero(sizes)
         if filled.size:
-            starts = np.cumsum(sizes) - sizes
-            sums[filled] = np.add.reduceat(np.concatenate(length_arrays),
-                                           starts[filled])
+            sums[filled] = np.add.reduceat(flat, starts[filled])
         totals = np.rint(sums).astype(np.int64)
         packets = int(sizes.sum())
         volume = int(totals.sum())
         amounts = sizes if self.mode == "size" else totals
-        shard_ids = np.fromiter((self._shard(key) for key in keys),
-                                dtype=np.int64, count=count)
-        for key, shard, amount in zip(keys, shard_ids.tolist(),
-                                      amounts.tolist()):
-            truths = self._truths[shard]
-            truths[key] = truths.get(key, 0) + amount
+        # Keys the epoch has not seen take the next free ids; their
+        # shards are cached now, their lanes only at commit.
+        ids = np.fromiter(map(self._ids.get, keys, repeat(-1)),
+                          dtype=np.int64, count=count)
+        new = np.flatnonzero(ids < 0)
+        if new.size:
+            first = len(self._ids)
+            ids[new] = first + np.arange(new.size)
+            end = first + new.size
+            self._id_shard = _grown(self._id_shard, end, -1)
+            self._id_lane = _grown(self._id_lane, end, -1)
+            self._id_shard[first:end] = self._hash_shards(
+                list(map(keys.__getitem__, new.tolist())))
+        shard_ids = self._id_shard[ids]
+        routed = time.perf_counter() if self._enabled else 0.0
 
         tasks = []
         pending = {}
@@ -716,14 +818,15 @@ class StreamSession:
                 entropy=self._root.entropy,
                 spawn_key=self._root_key + (self.epoch_index, shard,
                                             self._chunk_in_epoch))
-            trace, resume, rows, new_keys, columns = self._shard_chunk_trace(
-                shard, keys, pos, sizes, sums, length_arrays)
-            pending[shard] = (trace, rows, new_keys, columns)
+            trace, resume, rows, lanes, columns = self._shard_chunk_trace(
+                shard, keys, ids, pos, starts, sizes, sums, flat)
+            pending[shard] = (trace, rows, pos, lanes, columns)
             tasks.append(_ShardChunkTask(
                 shard=shard, index=shard,
                 scheme_factory=self.scheme_factory, trace=trace,
                 mode=self.mode, rng=seed, state=resume,
                 telemetry=self._enabled, engine=self.engine))
+        gathered = time.perf_counter() if self._enabled else 0.0
 
         if self.workers is None or self.workers == 1:
             outcomes = [_run_shard_chunk(task) for task in tasks]
@@ -733,10 +836,18 @@ class StreamSession:
             outcomes = run_tasks(_run_shard_chunk, tasks,
                                  max_workers=self.workers,
                                  session=self._epoch_tel)
+        replayed = time.perf_counter() if self._enabled else 0.0
         for shard, carried, snap in outcomes:
-            self._scatter(shard, carried, *pending[shard])
+            self._scatter(shard, carried, keys, ids, amounts,
+                          *pending[shard])
             self._epoch_tel.merge(snap)
 
+        if self._enabled:
+            tel = self._epoch_tel
+            tel.timing("stream.stage.route", routed - start)
+            tel.timing("stream.stage.gather", gathered - routed)
+            tel.timing("stream.stage.kernel", replayed - gathered)
+            tel.timing("stream.stage.scatter", time.perf_counter() - replayed)
         self._epoch_tel.count("stream.chunks")
         self._epoch_tel.count("stream.packets", packets)
         self._epoch_tel.count("stream.bytes", volume)
@@ -776,7 +887,7 @@ class StreamSession:
         shard_bits = tuple(int(counters.max(initial=0)).bit_length()
                            for _, counters in readouts)
         truths: Dict[Hashable, int] = {}
-        for shard_truths in self._truths:
+        for shard_truths in self._shard_truths():
             truths.update(shard_truths)
         self._epoch_tel.count("stream.epochs")
         snap_tel = self._epoch_tel.snapshot() if self._enabled else None
@@ -792,10 +903,10 @@ class StreamSession:
             self._total_tel.merge(snap_tel)
             self._epoch_tel = obs.Telemetry()
         self._state = self._empty_states()
-        self._truths = [dict() for _ in range(self.shards)]
-        # The shard memo is a cache of ``stable_hash``: dropping it with
-        # the epoch bounds it by one epoch's keys without moving any key.
-        self._shard_of = {}
+        # Ids are epoch-scoped and shards a cache of ``stable_hash``:
+        # dropping the tables with the epoch bounds them by one epoch's
+        # keys without moving any key.
+        self._reset_tables()
         self.epoch_index += 1
         self._chunk_in_epoch = 0
         self._epoch_packet_count = 0
@@ -863,7 +974,7 @@ class StreamSession:
             "epoch_volume_count": self._epoch_volume_count,
             "elapsed_seconds": self.elapsed_seconds,
             "state": list(self._state),
-            "truths": [dict(truths) for truths in self._truths],
+            "truths": self._shard_truths(),
             "snapshots": list(self.snapshots),
         }
         try:
@@ -902,8 +1013,10 @@ class StreamSession:
         uninterrupted run.  ``workers`` / ``telemetry`` are
         execution-environment choices, not measurement state, so they
         are chosen fresh here.  Each shard's lanes come from its carried
-        ``state`` (in ``index`` order); a ``"keys"`` field, written by
-        older sessions, is ignored.
+        ``state`` (keys sorted by lane) and their truths from the
+        per-shard ``truths`` dicts; the epoch's ids are renumbered from
+        those, as ids never leave the session.  A ``"keys"`` field,
+        written by older sessions, is ignored.
         """
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
@@ -942,7 +1055,7 @@ class StreamSession:
         session.elapsed_seconds = payload["elapsed_seconds"]
         session._state = [state or empty for state, empty
                           in zip(payload["state"], session._state)]
-        session._truths = [dict(truths) for truths in payload["truths"]]
+        session._load_tables(payload["truths"])
         session.snapshots = list(payload["snapshots"])
         session._resume_skip = session.packets_consumed
         session._epoch_tel.count("stream.resumes")

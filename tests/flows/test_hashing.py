@@ -3,12 +3,19 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.flows.hashing import crc32_pair, encode_key, fnv1a64, stable_hash
+from repro.flows.hashing import (
+    crc32_pair,
+    encode_key,
+    fnv1a64,
+    fnv1a64_int64,
+    stable_hash,
+)
 from repro.flows.packet import FiveTuple
 
 SIMPLE_KEYS = st.one_of(
@@ -82,6 +89,34 @@ class TestHashes:
         }
         assert len(outputs) == 1
         assert outputs.pop() == str(stable_hash(("flow", 42, "abc")))
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+#: Every encoded-width boundary an int64 can sit on, both signs.
+EDGE_INTS = sorted({sign * (2**shift + delta)
+                    for shift in range(63) for delta in (-1, 0, 1)
+                    for sign in (1, -1)} | {INT64_MIN, INT64_MAX})
+
+
+class TestVectorisedIntHash:
+    """``fnv1a64_int64`` is ``stable_hash`` over int64, bit for bit."""
+
+    def test_edge_values(self):
+        got = fnv1a64_int64(np.array(EDGE_INTS, dtype=np.int64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [stable_hash(k) for k in EDGE_INTS]
+
+    @given(st.lists(st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+                    max_size=64))
+    @settings(max_examples=200)
+    def test_matches_stable_hash(self, keys):
+        got = fnv1a64_int64(np.array(keys, dtype=np.int64)).tolist()
+        assert got == [stable_hash(k) for k in keys]
+
+    def test_accepts_lists_and_empty(self):
+        assert fnv1a64_int64([0, -1]).tolist() == [stable_hash(0),
+                                                  stable_hash(-1)]
+        assert fnv1a64_int64([]).size == 0
 
 
 class TestFlowTableDeterminism:

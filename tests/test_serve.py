@@ -235,6 +235,10 @@ class TestQuerySurface:
             counters = handle.client.telemetry()["telemetry"]["counters"]
             assert counters["serve.starts"] == 1
             assert counters["serve.ingest.packets"] == compiled.num_packets
+            assert counters["serve.ingest.bytes"] == sum(
+                int(round(float(compiled.lengths[a:b].sum())))
+                for a, b in zip(compiled.offsets[:-1].tolist(),
+                                compiled.offsets[1:].tolist()))
             assert counters["serve.query.topk"] >= 1
         assert handle.error is None
         assert handle.result is not None

@@ -16,6 +16,7 @@ Covers the PR-5 surface end to end:
 """
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from repro.core.kernels import kernel_spec
 from repro.errors import ParameterError
 from repro.export.collector import Collector
 from repro.flows.hashing import stable_hash
+from repro.flows.packet import FiveTuple
 from repro.harness.parallel import shutdown_pool
 from repro.serve import GeneratorFeed, build_daemon
 from repro.schemes import SchemeFactory, scheme_spec
@@ -732,7 +734,7 @@ class TestTouchedOnlyRows:
 
 
 class TestShardMemoBounded:
-    """The key -> shard memo holds one epoch's keys, not the process's."""
+    """The key -> id table holds one epoch's keys, not the process's."""
 
     def test_memo_reset_each_rotation(self):
         session = StreamSession(scheme_factory("exact"), shards=3,
@@ -744,9 +746,129 @@ class TestShardMemoBounded:
             rotations += session.epoch_index - before
             open_keys = set().union(*(state.index
                                       for state in session._state))
-            assert set(session._shard_of) <= open_keys
-            for key, shard in session._shard_of.items():
+            assert set(session._ids) <= open_keys
+            for key, key_id in session._ids.items():
+                shard = int(session._id_shard[key_id])
                 assert shard == stable_hash(key) % 3
+                lane = int(session._id_lane[key_id])
+                assert session._state[shard].index[key] == lane
+                assert session._lane_keys[shard][lane] == key
         assert rotations >= 10
         session.rotate()
-        assert session._shard_of == {}
+        assert session._ids == {}
+        assert session._id_shard.size == session._id_lane.size == 0
+        assert session._lane_keys == [[], [], []]
+
+
+# ---------------------------------------------------------------------------
+# columnar routing: shard placement and whole-chunk commits
+# ---------------------------------------------------------------------------
+
+class TestShardPlacement:
+    """Every key lands in shard ``stable_hash(key) % shards``, fast path
+    (plain int64 ints) or not."""
+
+    @pytest.mark.parametrize("keys", [
+        [0, 1, -1, 127, 128, -129, 2**31, -2**31, 2**62, 2**63 - 1,
+         -2**63] + list(range(1000, 1040)),
+        [True, False, 2, 3],
+        [2**63, 2**64 + 5, -2**63 - 1, 7],
+        [1, "1", 2, "two", 3, b"3"],
+        [("a", 1), ("b", 2), (1, (2, 3)), 4],
+        [FiveTuple(f"10.0.0.{i}", "10.0.0.99", 1000 + i, 443, 6)
+         for i in range(12)],
+    ], ids=["int64", "bool", "wide-int", "int-str", "tuple", "fivetuple"])
+    @pytest.mark.parametrize("shards", [3, 7])
+    def test_key_lands_in_its_hash_shard(self, keys, shards):
+        session = StreamSession(scheme_factory("exact"), shards=shards, rng=1)
+        # Half the keys first, then all of them: new keys arrive beside
+        # keys the epoch already holds.
+        for chunk in (keys[::2], keys):
+            session.ingest_chunk(chunk, [np.full(2, 100.0) for _ in chunk])
+        snap = session.finish().snapshots[0]
+        for key in keys:
+            shard = stable_hash(key) % shards
+            assert key in snap.shard_estimates[shard], key
+        assert snap.truths == {key: (400 if i % 2 == 0 else 200)
+                               for i, key in enumerate(keys)}
+
+
+def _observable(session, path):
+    """What a session exposes: counts, checkpoint payload, final result."""
+    session.checkpoint()
+    with open(path, "rb") as fh:
+        payload = pickle.load(fh)
+    payload.pop("elapsed_seconds")
+    result = session.finish()
+    summary = result.to_json()
+    summary.pop("elapsed_seconds")
+    return (session.packets_consumed, session.volume_consumed,
+            pickle.dumps(payload), summary, result.snapshots,
+            result.truths())
+
+
+class TestWholeChunkCommit:
+    """A chunk that fails leaves the session as if it never arrived."""
+
+    KEYS = list(range(10))
+
+    def _chunk(self):
+        return self.KEYS, [np.array([100.0, 200.0]) for _ in self.KEYS]
+
+    def _session(self, path, name="exact"):
+        return StreamSession(scheme_factory(name, **KERNELS[name]),
+                             shards=2, rng=5,
+                             checkpoint_path=str(path), checkpoint_every=99)
+
+    def _clean(self, tmp_path, name="exact"):
+        path = tmp_path / "clean.ckpt"
+        session = self._session(path, name)
+        session.ingest_chunk(*self._chunk())
+        session.ingest_chunk(*self._chunk())
+        return _observable(session, path)
+
+    def test_shard_fault_commits_nothing(self, tmp_path):
+        assert len({stable_hash(k) % 2 for k in self.KEYS}) == 2
+        path = tmp_path / "faulted.ckpt"
+        session = self._session(path)
+        session.ingest_chunk(*self._chunk())
+        faults_mod.arm(faults_mod.FaultPlan.parse("shard.run:raise:unit=1"))
+        with pytest.raises(OSError):
+            session.ingest_chunk(*self._chunk())
+        faults_mod.disarm()
+        session.ingest_chunk(*self._chunk())
+        got = _observable(session, path)
+        assert got == self._clean(tmp_path)
+        assert got[:2] == (40, 6000)
+        assert sum(got[5].values()) == 6000
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["exact", "disco"])
+    def test_bad_lengths_rejected_before_any_change(self, tmp_path, bad,
+                                                    name):
+        path = tmp_path / "bad.ckpt"
+        session = self._session(path, name)
+        session.ingest_chunk(*self._chunk())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="finite and > 0"):
+                session.ingest_chunk([1, 2], [[bad, 100.0], [100.0]])
+        session.ingest_chunk(*self._chunk())
+        assert _observable(session, path) == self._clean(tmp_path, name)
+
+
+class TestStageTimers:
+    def test_each_stage_timed_once_per_chunk(self, compiled):
+        tel = Telemetry()
+        result = stream(scheme_factory("disco", b=B), compiled, shards=2,
+                        epoch_packets=compiled.num_packets // 2,
+                        chunk_packets=1024, rng=0, telemetry=tel)
+        snap = result.telemetry
+        chunks = snap["counters"]["stream.chunks"]
+        assert chunks >= 4
+        stages = [snap["timers"][f"stream.stage.{stage}"]
+                  for stage in ("route", "gather", "kernel", "scatter")]
+        assert all(entry["count"] == chunks for entry in stages)
+        assert all(entry["seconds"] >= 0 for entry in stages)
+        assert sum(entry["seconds"] for entry in stages) \
+            <= result.elapsed_seconds
