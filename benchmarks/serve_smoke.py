@@ -12,7 +12,10 @@ guarantees:
 3. **crash safety**: an injected ``serve.checkpoint`` fault (via
    ``REPRO_FAULTS``) kills the daemon with exit code 1, the previous
    checkpoint survives, and a ``--resume`` rerun answers every query
-   bit-identically to an uninterrupted run.
+   bit-identically to an uninterrupted run;
+4. **malformed input is never fatal**: a ``--feed socket`` daemon sent
+   good lines plus one ``nan`` length counts the bad line in
+   ``/healthz``, ingests every good packet, and still drains cleanly.
 
 Run directly (``make serve-smoke``)::
 
@@ -21,6 +24,7 @@ Run directly (``make serve-smoke``)::
 
 import os
 import re
+import socket
 import subprocess
 import sys
 import tempfile
@@ -36,6 +40,7 @@ from repro.cli import _read_any_trace  # noqa: E402
 from repro.serve import ServeClient  # noqa: E402
 
 BANNER = re.compile(r"serving on http://([\d.]+):(\d+)")
+SOCKET_FEED = re.compile(r"socket:([\d.]+):(\d+)")
 DEADLINE_S = 30.0
 SERVE_ARGS = ["--feed", "trace", "--scheme", "disco", "--seed", "2",
               "--shards", "2", "--epoch-packets", "1200",
@@ -73,6 +78,16 @@ class ServeProcess:
                 return
             time.sleep(0.02)
         raise SystemExit(f"FAIL: daemon never ingested {packets} packets")
+
+    def wait_feed_bound(self):
+        """The ``(host, port)`` a socket feed bound, read from ``/healthz``."""
+        deadline = time.monotonic() + DEADLINE_S
+        while time.monotonic() < deadline:
+            match = SOCKET_FEED.fullmatch(self.client.healthz()["feed"])
+            if match:
+                return match.group(1), int(match.group(2))
+            time.sleep(0.02)
+        raise SystemExit("FAIL: socket feed never bound")
 
     def finish(self, expect_code):
         out, err = self.proc.communicate(timeout=DEADLINE_S)
@@ -186,6 +201,27 @@ def main():
 
         check(resumed_answers == baseline_answers,
               "resumed query answers bit-identical to uninterrupted run")
+
+        # -- leg 4: socket feed, one malformed line ---------------------
+        print("leg 4: socket feed skips a nan length")
+        # exact: with no trace to size from, disco has no max_length.
+        fed = ServeProcess(["--feed", "socket", "--scheme", "exact",
+                            "--seed", "2", "--shards", "2",
+                            "--chunk-packets", "256"]).wait_ready()
+        host, port = fed.wait_feed_bound()
+        with socket.create_connection((host, port)) as conn:
+            conn.sendall(b"f1 100\nf2 50\nf3 nan\nf1 25\n")
+        fed.wait_ingested(3)
+        health = fed.client.healthz()
+        check(health["malformed_lines"] == 1,
+              "healthz counts the nan line as malformed")
+        check(health["packets_consumed"] == 3
+              and health["volume_consumed"] == 175,
+              "the 3 good packets (175 bytes) were ingested")
+        fed.client.drain()
+        out, _err = fed.finish(expect_code=0)
+        check("drained: scheme=exact" in out and "packets=3" in out,
+              "socket daemon drained cleanly")
 
     elapsed = time.monotonic() - start
     check(elapsed < DEADLINE_S, f"smoke finished in {elapsed:.1f}s (< 30s)")

@@ -203,7 +203,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         epoch_bytes=args.epoch_bytes,
         chunk_packets=args.chunk_packets,
         rng=args.seed + 1,
-        workers=args.workers,
         engine=_stream_engine(args.engine),
         store=args.store,
         telemetry=tel,
@@ -365,7 +364,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         epoch_bytes=args.epoch_bytes,
         chunk_packets=args.chunk_packets,
         rng=args.seed + 1,
-        workers=args.workers,
         engine=_stream_engine(args.engine),
         store=args.store,
         checkpoint_path=args.checkpoint,
@@ -679,8 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rotate the epoch after this many bytes")
     p.add_argument("--chunk-packets", type=int, default=None,
                    help="packets per consumption chunk")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process-pool workers for shard replays (default: serial)")
     p.add_argument("--checkpoint", default=None,
                    help="checkpoint file; enables crash-resumable streaming")
     p.add_argument("--resume", action="store_true",
@@ -711,8 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rotate the epoch after this many bytes")
     p.add_argument("--chunk-packets", type=int, default=None,
                    help="packets per ingestion chunk")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process-pool workers for shard replays (default: serial)")
     p.add_argument("--checkpoint", default=None,
                    help="checkpoint file; enables crash-resumable serving")
     p.add_argument("--checkpoint-every", type=int, default=4,

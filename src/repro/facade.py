@@ -69,7 +69,6 @@ def _validate(
     chunk_packets=_UNSET,
     epoch_packets=_UNSET,
     epoch_bytes=_UNSET,
-    workers=_UNSET,
     checkpoint_every=_UNSET,
     stream_engine=_UNSET,
     store_engine=_UNSET,
@@ -108,8 +107,6 @@ def _validate(
             and epoch_bytes < 1):
         raise ParameterError(
             f"epoch_bytes must be >= 1 or None, got {epoch_bytes!r}")
-    if workers is not _UNSET and workers is not None and workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers!r}")
     if checkpoint_every is not _UNSET and checkpoint_every < 1:
         raise ParameterError(
             f"checkpoint_every must be >= 1, got {checkpoint_every!r}")
@@ -411,7 +408,6 @@ def stream(
     epoch_bytes: Optional[int] = None,
     chunk_packets: Optional[int] = None,
     rng: AnyRng = None,
-    workers: Optional[int] = None,
     engine: str = "vector",
     store: Optional[str] = None,
     telemetry: Optional["obs.Telemetry"] = None,
@@ -430,10 +426,10 @@ def stream(
     drive a :class:`~repro.streaming.StreamSession` directly.
 
     ``scheme_factory`` is a zero-argument scheme builder — prefer
-    :func:`repro.scheme_factory`, which pickles into pool workers and
-    checkpoints.  ``rng`` follows the :func:`seed_streams` convention;
-    for a fixed configuration the result is same-seed deterministic
-    across ``workers`` settings, and for the exact scheme the summed
+    :func:`repro.scheme_factory`, which pickles into checkpoints.
+    ``rng`` follows the :func:`seed_streams` convention; for a fixed
+    configuration the result is same-seed deterministic, and for the
+    exact scheme the summed
     epoch estimates equal a one-shot :func:`replay` bit-for-bit.
     ``engine`` picks the per-chunk columnar backend (``"vector"`` or
     ``"native"`` — see :mod:`repro.core.native`); carried kernel state
@@ -449,8 +445,7 @@ def stream(
     exactly; when no checkpoint file exists yet the stream simply
     starts fresh.  ``faults=`` arms a :mod:`repro.faults` plan (plan
     string or :class:`~repro.faults.FaultPlan`) for the duration of the
-    call — the ``shard.run`` and ``checkpoint.write`` seams plus the
-    pool seams when ``workers >= 2``.
+    call — the ``shard.run`` and ``checkpoint.write`` seams.
     """
     import os as _os
 
@@ -467,8 +462,8 @@ def stream(
     try:
         if (resume and checkpoint_path is not None
                 and _os.path.exists(checkpoint_path)):
-            session = StreamSession.restore(
-                checkpoint_path, workers=workers, telemetry=telemetry)
+            session = StreamSession.restore(checkpoint_path,
+                                            telemetry=telemetry)
         else:
             session = StreamSession(
                 scheme_factory,
@@ -477,7 +472,6 @@ def stream(
                 epoch_bytes=epoch_bytes,
                 chunk_packets=chunk_packets,
                 rng=rng,
-                workers=workers,
                 engine=engine,
                 store=store,
                 telemetry=telemetry,

@@ -29,8 +29,8 @@ Sites
     A worker starting a unit (worker process only; the one site where
     ``action="kill"`` is allowed).
 ``shard.run``
-    A stream session dispatching one shard's chunk replay (fired with
-    the shard index, parent side — see :mod:`repro.streaming`).
+    A stream session about to replay one shard's slice of a chunk
+    (fired with the shard index — see :mod:`repro.streaming`).
 ``checkpoint.write``
     Between serialising a stream checkpoint and atomically publishing
     it (``os.replace``); an injected failure here leaves the previous

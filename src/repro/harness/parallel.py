@@ -72,7 +72,7 @@ from repro.harness.runner import RunResult, replay_replicas
 from repro.traces.compiled import CompiledTrace
 from repro.traces.trace import Trace
 
-__all__ = ["ReplayJob", "replay_parallel", "run_tasks", "shutdown_pool",
+__all__ = ["ReplayJob", "replay_parallel", "shutdown_pool",
            "SHARE_THRESHOLD_BYTES", "REPLICA_CHUNK"]
 
 #: CompiledTrace array footprint above which the trace is shipped through
@@ -572,71 +572,4 @@ def _run_units_pooled(
         session.count("parallel.pool.broken_retries")
         session.count("recovery.serial_retry")
         results[i] = _run_unit(units[i])
-    return results
-
-
-def run_tasks(
-    fn: Callable[[object], object],
-    tasks: Sequence[object],
-    max_workers: Optional[int] = None,
-    session: "obs.Telemetry" = obs.NULL_TELEMETRY,
-) -> List[object]:
-    """Run picklable tasks through the persistent pool, results in order.
-
-    The generic sibling of :func:`replay_parallel` for callers with
-    their own work shape — the stream subsystem's shard-chunk replays
-    ride on this.  ``fn`` must be a module-level function and each task
-    picklable (expose an integer ``index`` attribute for fault
-    targeting at the ``pool.submit`` / ``result.collect`` seams).  The
-    degradation ladder matches the replay driver's: ``max_workers=1``
-    (or a single task) runs in-process; a pool that cannot start falls
-    back to serial execution; a pool that breaks mid-run retries the
-    unfinished tasks serially — every recovery recorded as the usual
-    ``recovery.*`` events.  Unlike :func:`replay_parallel`, this runner
-    does not arm fault plans itself (callers own arming) and does not
-    ship traces through shared memory.
-    """
-    if max_workers is not None and max_workers < 1:
-        raise ParameterError(f"max_workers must be >= 1, got {max_workers!r}")
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    if len(tasks) == 1 or max_workers == 1:
-        return [fn(task) for task in tasks]
-    try:
-        reusing = _POOL is not None and _POOL_WORKERS == max_workers
-        pool = _get_pool(max_workers, session)
-        futures = []
-        for task in tasks:
-            _faults.fire("pool.submit", unit=getattr(task, "index", 0))
-            futures.append(pool.submit(fn, task))
-        session.count("parallel.pool.reused" if reusing
-                      else "parallel.pool.created")
-    except (OSError, PermissionError, BrokenProcessPool):
-        shutdown_pool()
-        session.count("parallel.serial_fallbacks")
-        session.count("recovery.serial_fallback")
-        return [fn(task) for task in tasks]
-
-    results: List[object] = [None] * len(tasks)
-    retry: List[int] = []
-    broken = False
-    for i, future in enumerate(futures):
-        try:
-            outcome = future.result()
-            _faults.fire("result.collect", unit=i)
-            results[i] = outcome
-        except BrokenProcessPool:
-            broken = True
-            shutdown_pool()
-            retry.append(i)
-        except (CancelledError, OSError, PermissionError):
-            retry.append(i)
-    if broken:
-        _unlink_published(session)
-        session.count("recovery.pool_rebuilds")
-    for i in retry:
-        session.count("parallel.pool.broken_retries")
-        session.count("recovery.serial_retry")
-        results[i] = fn(tasks[i])
     return results

@@ -278,7 +278,6 @@ def build_daemon(
     epoch_bytes: Optional[int] = None,
     chunk_packets: Optional[int] = None,
     rng=None,
-    workers: Optional[int] = None,
     engine: str = "vector",
     store: Optional[str] = None,
     telemetry: Optional[obs.Telemetry] = None,
@@ -310,7 +309,7 @@ def build_daemon(
               chunk_packets=(DEFAULT_CHUNK_PACKETS if chunk_packets is None
                              else chunk_packets),
               epoch_packets=epoch_packets, epoch_bytes=epoch_bytes,
-              workers=workers, stream_engine=engine,
+              stream_engine=engine,
               resume=(resume, checkpoint_path))
     if chunk_packets is None:
         chunk_packets = DEFAULT_CHUNK_PACKETS
@@ -320,7 +319,7 @@ def build_daemon(
     import os as _os
     if (resume and checkpoint_path is not None
             and _os.path.exists(checkpoint_path)):
-        session = StreamSession.restore(checkpoint_path, workers=workers,
+        session = StreamSession.restore(checkpoint_path,
                                         telemetry=telemetry)
         telemetry.count("serve.resumes")
     else:
@@ -331,7 +330,6 @@ def build_daemon(
             epoch_bytes=epoch_bytes,
             chunk_packets=chunk_packets,
             rng=rng,
-            workers=workers,
             engine=engine,
             store=store,
             telemetry=telemetry,

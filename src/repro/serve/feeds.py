@@ -26,6 +26,7 @@ the :class:`~repro.serve.daemon.ServeDaemon` owns all of that.
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import AsyncIterator, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -133,7 +134,8 @@ class SocketFeed(Feed):
     flush timeout bounds how stale a partial batch may get when traffic
     pauses, so low-rate sources still reach the counters.  The feed ends
     when :meth:`close` is called (the daemon's drain path); malformed
-    lines are counted and skipped, never fatal — a measurement daemon
+    lines — not ``<flow> <length>``, or a length that is not finite and
+    > 0 — are counted and skipped, never fatal: a measurement daemon
     must not die because one sender glitched.
     """
 
@@ -181,6 +183,10 @@ class SocketFeed(Feed):
                 try:
                     length = float(parts[1])
                 except ValueError:
+                    length = math.nan
+                # The session rejects a whole chunk over one length that
+                # is not finite and > 0; drop the line here instead.
+                if not (math.isfinite(length) and length > 0):
                     self.malformed_lines += 1
                     continue
                 await self._queue.put((parts[0].decode("ascii", "replace"),

@@ -35,11 +35,13 @@ reproduces that shape on top of the columnar kernel stack:
   > 0) before anything changes, and lanes, truths, ids and carried
   state are written only in the scatter step, after every shard-chunk
   replay of the chunk has returned.
-* Shard-chunk replays run serially or over the persistent process pool
-  (:func:`repro.harness.parallel.run_tasks`).  Each replay's random
+* Shard-chunk replays run in-process, one after another, through the
+  kernel spec the session resolved once at construction — the paper's
+  linecard scales by engines over one shared counter memory, not by
+  shipping counter state between processes.  Each replay's random
   stream is a pure ``SeedSequence`` child keyed by
-  ``(epoch, shard, chunk)``, so serial and pooled execution consume
-  identical streams — same seed, same estimates, bit for bit.
+  ``(epoch, shard, chunk)``, so a resumed run consumes the streams the
+  uninterrupted one would have — same seed, same estimates, bit for bit.
 * Epochs rotate on packet-count or byte watermarks (quantised to chunk
   boundaries); every rotation reads the shards out into a mergeable
   :class:`EpochSnapshot` and resets them — the paper's
@@ -57,14 +59,14 @@ single ``replay()`` of the whole trace bit-for-bit (integer sums are
 associative and epoch subtotals stay far below 2^53).  Probabilistic
 kernels are *same-seed deterministic*: a given (seed, shard count,
 chunk size, watermark) configuration always produces identical
-estimates — serial, pooled, interrupted-and-resumed alike — but a
+estimates — uninterrupted or interrupted-and-resumed alike — but a
 different sharding or chunking consumes the random streams differently,
 exactly as the columnar engine already relates to the scalar one.
 
 Failure injection
 -----------------
-Two seams (:mod:`repro.faults`): ``shard.run`` fires per dispatched
-shard (parent side, with the shard index), ``checkpoint.write`` fires
+Two seams (:mod:`repro.faults`): ``shard.run`` fires per touched shard
+(with the shard index) before its replay, ``checkpoint.write`` fires
 between serialising a checkpoint and atomically publishing it — a
 fault there leaves the previous checkpoint intact, which is the crash
 the resume tests rehearse.  Events appear as ``stream.*`` telemetry
@@ -255,46 +257,8 @@ class StreamResult:
 
 
 # ---------------------------------------------------------------------------
-# shard-chunk work items (module-level: must pickle into pool workers)
+# helpers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _ShardChunkTask:
-    """One shard's slice of one chunk: a resumable columnar replay."""
-
-    shard: int
-    index: int  # == shard; the fault-targeting unit id
-    scheme_factory: Callable[[], object]
-    trace: CompiledTrace
-    mode: str
-    rng: np.random.SeedSequence
-    state: KernelState
-    telemetry: bool
-    #: Columnar backend for this chunk ("vector" or "native").
-    engine: str = "vector"
-
-
-def _run_shard_chunk(task: _ShardChunkTask):
-    """Replay one shard-chunk, returning its rows' carried-out state.
-
-    Carry-in and carry-out are dense: the parent gathers the rows from
-    the shard's lanes (decoding a compact store once) and scatters the
-    exported rows back (re-encoding once), so compact backends pay
-    encode/decode once per chunk boundary, never per packet.
-    """
-    tel = obs.Telemetry() if task.telemetry else None
-    scheme = task.scheme_factory()
-    spec = kernel_spec(scheme)
-    if spec is None:  # unreachable after session-probe; defend anyway
-        raise ParameterError(
-            f"scheme {getattr(scheme, 'name', type(scheme).__name__)!r} "
-            f"lost its kernel between probe and replay")
-    result = run_kernel(task.trace, spec.factory, mode=task.mode,
-                        rng=task.rng, telemetry=tel, resume=task.state,
-                        engine=task.engine)
-    state = result.kernel.export_state(task.trace.keys)
-    return task.shard, state, (tel.snapshot() if tel is not None else None)
-
 
 def _readout(spec, state: KernelState) -> Tuple[np.ndarray, np.ndarray]:
     """Decode a shard state: estimates and raw counters, in ``index`` order.
@@ -334,8 +298,8 @@ class StreamSession:
     """An incremental, epoch-rotating, hash-sharded measurement session.
 
     Build one with a zero-argument ``scheme_factory`` (prefer
-    :func:`repro.scheme_factory` — it survives pickling into pool
-    workers and checkpoints), feed it packets with :meth:`consume` /
+    :func:`repro.scheme_factory` — it survives pickling into
+    checkpoints), feed it packets with :meth:`consume` /
     :meth:`extend`, and close it with :meth:`finish`.  The high-level
     wrapper is :func:`repro.stream`.
 
@@ -344,6 +308,8 @@ class StreamSession:
     scheme_factory:
         Zero-argument callable building a fresh scheme; the scheme must
         expose a *resumable* columnar kernel (every in-tree kernel is).
+        It is called once, here; every chunk replays through the kernel
+        spec resolved from that scheme.
     shards:
         Number of hash-partitions of the flow space; each shard is one
         independent counter array, replayed per chunk.
@@ -358,10 +324,6 @@ class StreamSession:
         Any :func:`repro.seed_streams` convention; the per-(epoch,
         shard, chunk) replay streams are pure ``SeedSequence`` children
         of its root.
-    workers:
-        ``None``/``1`` = replay shards serially in-process; ``>= 2`` =
-        fan shard-chunk replays over the persistent process pool (same
-        seeds, bit-identical results).
     engine:
         Columnar backend for shard-chunk replays: ``"vector"`` (default)
         or ``"native"`` (:mod:`repro.core.native`; falls back to
@@ -397,7 +359,6 @@ class StreamSession:
         epoch_bytes: Optional[int] = None,
         chunk_packets: int = DEFAULT_CHUNK_PACKETS,
         rng=None,
-        workers: Optional[int] = None,
         engine: str = "vector",
         store: Optional[str] = None,
         telemetry: Optional[obs.Telemetry] = None,
@@ -414,8 +375,7 @@ class StreamSession:
                 f"scheme_factory must be callable, got {scheme_factory!r}")
         _validate(shards=shards, chunk_packets=chunk_packets,
                   epoch_packets=epoch_packets, epoch_bytes=epoch_bytes,
-                  workers=workers, checkpoint_every=checkpoint_every,
-                  stream_engine=engine)
+                  checkpoint_every=checkpoint_every, stream_engine=engine)
         if engine == "native" and not native.available():
             native.warn_fallback("stream engine='native'")
             engine = "vector"
@@ -433,13 +393,13 @@ class StreamSession:
             raise ParameterError(
                 f"{type(probe).__name__} does not support resumable state; "
                 f"streaming needs a resumable kernel")
-        if (workers is not None and workers > 1) or checkpoint_path is not None:
+        if checkpoint_path is not None:
             try:
                 pickle.dumps(scheme_factory)
             except Exception:
                 raise ParameterError(
-                    "parallel or checkpointed streams need a picklable "
-                    "scheme factory; build one with repro.scheme_factory()"
+                    "checkpointed streams need a picklable scheme "
+                    "factory; build one with repro.scheme_factory()"
                 ) from None
 
         self.scheme_factory = scheme_factory
@@ -452,7 +412,6 @@ class StreamSession:
         self.epoch_packets = epoch_packets
         self.epoch_bytes = epoch_bytes
         self.chunk_packets = chunk_packets
-        self.workers = workers
         self.engine = engine
         #: Canonical compact-store name, or ``None`` for dense state.
         self._store = compact_store
@@ -764,7 +723,12 @@ class StreamSession:
 
         Stages (timed as ``stream.stage.*`` when telemetry is on): route
         (merge, check, intern, shard), gather (per-shard rows and
-        carry-in), kernel (the replays), scatter (the commit).
+        carry-in), kernel (the replays and their carry-out), scatter
+        (the commit), then any rotation or checkpoint the chunk
+        triggers.  Carry-in and carry-out are dense: rows are gathered
+        from the shard's lanes (decoding a compact store once) and
+        scattered back (re-encoding once), so compact stores pay
+        encode/decode once per chunk, never per packet.
         """
         start = time.perf_counter()
         if len(set(keys)) != len(keys):
@@ -809,8 +773,7 @@ class StreamSession:
         shard_ids = self._id_shard[ids]
         routed = time.perf_counter() if self._enabled else 0.0
 
-        tasks = []
-        pending = {}
+        replays, commits = [], []
         for shard in np.unique(shard_ids).tolist():
             pos = np.flatnonzero(shard_ids == shard)
             _faults.fire("shard.run", unit=shard)
@@ -820,30 +783,21 @@ class StreamSession:
                                             self._chunk_in_epoch))
             trace, resume, rows, lanes, columns = self._shard_chunk_trace(
                 shard, keys, ids, pos, starts, sizes, sums, flat)
-            pending[shard] = (trace, rows, pos, lanes, columns)
-            tasks.append(_ShardChunkTask(
-                shard=shard, index=shard,
-                scheme_factory=self.scheme_factory, trace=trace,
-                mode=self.mode, rng=seed, state=resume,
-                telemetry=self._enabled, engine=self.engine))
+            replays.append((trace, seed, resume))
+            commits.append((shard, trace, rows, pos, lanes, columns))
         gathered = time.perf_counter() if self._enabled else 0.0
 
-        if self.workers is None or self.workers == 1:
-            outcomes = [_run_shard_chunk(task) for task in tasks]
-        else:
-            from repro.harness.parallel import run_tasks
-
-            outcomes = run_tasks(_run_shard_chunk, tasks,
-                                 max_workers=self.workers,
-                                 session=self._epoch_tel)
+        tel = self._epoch_tel if self._enabled else None
+        carried = [
+            run_kernel(trace, self._spec.factory, mode=self.mode, rng=seed,
+                       telemetry=tel, resume=resume, engine=self.engine)
+            .kernel.export_state(trace.keys)
+            for trace, seed, resume in replays]
         replayed = time.perf_counter() if self._enabled else 0.0
-        for shard, carried, snap in outcomes:
-            self._scatter(shard, carried, keys, ids, amounts,
-                          *pending[shard])
-            self._epoch_tel.merge(snap)
+        for (shard, *commit), state in zip(commits, carried):
+            self._scatter(shard, state, keys, ids, amounts, *commit)
 
         if self._enabled:
-            tel = self._epoch_tel
             tel.timing("stream.stage.route", routed - start)
             tel.timing("stream.stage.gather", gathered - routed)
             tel.timing("stream.stage.kernel", replayed - gathered)
@@ -851,7 +805,7 @@ class StreamSession:
         self._epoch_tel.count("stream.chunks")
         self._epoch_tel.count("stream.packets", packets)
         self._epoch_tel.count("stream.bytes", volume)
-        self._epoch_tel.count("stream.shard_runs", len(tasks))
+        self._epoch_tel.count("stream.shard_runs", len(replays))
         self.packets_consumed += packets
         self.volume_consumed += volume
         self._epoch_packet_count += packets
@@ -863,11 +817,24 @@ class StreamSession:
              and self._epoch_packet_count >= self.epoch_packets)
                 or (self.epoch_bytes is not None
                     and self._epoch_volume_count >= self.epoch_bytes)):
-            self.rotate()
+            self._timed("stream.stage.rotate", self.rotate)
         if (self.checkpoint_path is not None
                 and self._chunks_since_checkpoint >= self.checkpoint_every):
-            self.checkpoint()
+            self._timed("stream.stage.checkpoint", self.checkpoint)
         self.elapsed_seconds += time.perf_counter() - start
+
+    def _timed(self, stage: str, call: Callable[[], object]) -> None:
+        """Run ``call``, timing it as ``stage`` when telemetry is on.
+
+        The sample lands in the epoch telemetry current when ``call``
+        returns, so a rotation is booked into the epoch it opened.
+        """
+        if not self._enabled:
+            call()
+            return
+        began = time.perf_counter()
+        call()
+        self._epoch_tel.timing(stage, time.perf_counter() - began)
 
     # -- epochs --------------------------------------------------------------
 
@@ -1003,20 +970,20 @@ class StreamSession:
         return self.checkpoint_path
 
     @classmethod
-    def restore(cls, path: str, *, workers: Optional[int] = None,
+    def restore(cls, path: str, *,
                 telemetry: Optional[obs.Telemetry] = None) -> "StreamSession":
         """Rebuild a session from a checkpoint written by :meth:`checkpoint`.
 
         The restored session continues the original chunk schedule (its
         per-chunk seeds are pure functions of the checkpointed root), so
         feeding it the same source yields estimates bit-identical to the
-        uninterrupted run.  ``workers`` / ``telemetry`` are
-        execution-environment choices, not measurement state, so they
-        are chosen fresh here.  Each shard's lanes come from its carried
-        ``state`` (keys sorted by lane) and their truths from the
-        per-shard ``truths`` dicts; the epoch's ids are renumbered from
-        those, as ids never leave the session.  A ``"keys"`` field,
-        written by older sessions, is ignored.
+        uninterrupted run.  ``telemetry`` is an execution-environment
+        choice, not measurement state, so it is chosen fresh here.  Each
+        shard's lanes come from its carried ``state`` (keys sorted by
+        lane) and their truths from the per-shard ``truths`` dicts; the
+        epoch's ids are renumbered from those, as ids never leave the
+        session.  A ``"keys"`` field, written by older sessions, is
+        ignored.
         """
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
@@ -1037,7 +1004,6 @@ class StreamSession:
             rng=np.random.SeedSequence(
                 entropy=payload["entropy"],
                 spawn_key=tuple(payload["spawn_key"])),
-            workers=workers,
             engine=config.get("engine", "vector"),
             store=config.get("store", "dense"),
             telemetry=telemetry,

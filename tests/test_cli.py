@@ -143,6 +143,14 @@ class TestFlagParity:
                      "telemetry"):
             assert hasattr(args, flag), f"{command} missing --{flag}"
 
+    @pytest.mark.parametrize("command", ["stream", "serve"])
+    def test_stream_and_serve_reject_workers(self, command, capsys):
+        # Streams replay shard chunks in-process; only `faults` keeps
+        # --workers (it drives replay_parallel).
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--workers", "2"])
+        assert excinfo.value.code == 2
+
     def test_serve_bad_engine_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["serve", "--feed", "generator",

@@ -60,6 +60,7 @@ MODULES = [
     "repro.ixp.validate",
     "repro.ixp.threads",
     "repro.ixp.ring",
+    "repro.harness.parallel",
     "repro.harness.scenarios",
     "repro.harness.sweep",
     "repro.harness.montecarlo",
@@ -142,6 +143,10 @@ EXPECTED_ALL = {
         "resolve_engine", "save_baseline", "table2", "table3", "table4",
         "volume_error_vs_counter_size", "write_report",
     ],
+    "repro.harness.parallel": [
+        "REPLICA_CHUNK", "ReplayJob", "SHARE_THRESHOLD_BYTES",
+        "replay_parallel", "shutdown_pool",
+    ],
     "repro.obs": [
         "NULL_TELEMETRY", "Telemetry", "disable", "enable", "get", "resolve",
     ],
@@ -178,6 +183,18 @@ def test_public_surface_is_locked(package):
         f"{package}.__all__ drifted from the locked snapshot; if this is a "
         f"deliberate API change, update EXPECTED_ALL"
     )
+
+
+def test_stream_entrypoints_take_no_workers():
+    # Shard-chunk replays run in-process only; no stream entrypoint
+    # offers a process-pool knob.
+    import inspect
+
+    from repro import StreamSession, stream
+    from repro.serve import build_daemon
+
+    for fn in (StreamSession, StreamSession.restore, stream, build_daemon):
+        assert "workers" not in inspect.signature(fn).parameters, fn
 
 
 def test_vector_error_scheme_list_is_sorted():

@@ -122,18 +122,21 @@ class TestFeeds:
             feed = SocketFeed()
             host, port = await feed.start()
             reader, writer = await asyncio.open_connection(host, port)
-            writer.write(b"f1 100\nf1 200\nf2 50\nbogus\nf3 abc\nf2 25\n")
+            # Lengths that are not finite and > 0 would make the session
+            # reject a whole chunk; the feed must drop just those lines.
+            writer.write(b"f1 100\nf1 200\nf2 50\nbogus\nf3 abc\nf2 25\n"
+                         b"f4 nan\nf4 inf\nf4 -5\nf4 0\n")
             await writer.drain()
             writer.close()
             for _ in range(500):
-                if feed._queue.qsize() >= 4:
+                if feed.malformed_lines >= 6:
                     break
                 await asyncio.sleep(0.01)
             await feed.close()
             return feed, [batch async for batch in feed.batches(100)]
 
         feed, batches = asyncio.run(scenario())
-        assert feed.malformed_lines == 2
+        assert feed.malformed_lines == 6
         totals = {}
         for keys, arrays in batches:
             for key, lens in zip(keys, arrays):
@@ -364,14 +367,19 @@ class TestFeedHealth:
                 time.sleep(0.01)
             assert feed._server is not None, "socket feed never bound"
             with socket.create_connection((feed.host, feed.port)) as conn:
-                conn.sendall(b"f1 100\nbogus\nf2 50\nf3 abc\nf1 25\nf2 75\n")
+                # A nan or negative length must not reach the session: it
+                # would reject the chunk and end the daemon.
+                conn.sendall(b"f1 100\nbogus\nf2 50\nf3 nan\nf3 abc\n"
+                             b"f1 25\nf4 -5\nf2 75\n")
             _wait_ingested(handle.client, 4)
             counters = handle.client.telemetry()["telemetry"]["counters"]
-            assert counters["serve.feed.malformed_lines"] == 2
+            assert counters["serve.feed.malformed_lines"] == 4
             health = handle.client.healthz()
-            assert health["malformed_lines"] == 2
+            assert health["malformed_lines"] == 4
+            assert health["packets_consumed"] == 4
+            assert health["volume_consumed"] == 250
             counters = handle.client.telemetry()["telemetry"]["counters"]
-            assert counters["serve.feed.malformed_lines"] == 2
+            assert counters["serve.feed.malformed_lines"] == 4
         assert handle.error is None
 
     def test_trace_daemon_healthz_omits_malformed_lines(self, compiled):

@@ -9,8 +9,7 @@ Covers the PR-5 surface end to end:
 * eager argument validation on :func:`repro.replay` /
   :func:`repro.stream`;
 * stream determinism — exact-kernel bit-identity with a one-shot
-  replay, same-seed reproducibility for probabilistic kernels, and
-  serial == pooled execution;
+  replay and same-seed reproducibility for probabilistic kernels;
 * epoch rotation watermarks, truths, collector ingestion;
 * checkpoint / restore under an injected ``checkpoint.write`` fault.
 """
@@ -41,7 +40,6 @@ from repro.errors import ParameterError
 from repro.export.collector import Collector
 from repro.flows.hashing import stable_hash
 from repro.flows.packet import FiveTuple
-from repro.harness.parallel import shutdown_pool
 from repro.serve import GeneratorFeed, build_daemon
 from repro.schemes import SchemeFactory, scheme_spec
 from repro.traces.compiled import CompiledTrace, compile_trace
@@ -159,7 +157,6 @@ class TestValidation:
         {"chunk_packets": 0},
         {"epoch_packets": 0},
         {"epoch_bytes": -5},
-        {"workers": 0},
     ])
     def test_stream_rejects_bad_parameters(self, trace, kwargs):
         with pytest.raises(ParameterError):
@@ -177,8 +174,6 @@ class TestValidation:
 
     def test_parallel_stream_needs_picklable_factory(self, trace):
         unpicklable = lambda: make_scheme("disco", b=B)  # noqa: E731
-        with pytest.raises(ParameterError, match="picklable"):
-            StreamSession(unpicklable, workers=2)
         with pytest.raises(ParameterError, match="picklable"):
             StreamSession(unpicklable, checkpoint_path="x.ckpt")
 
@@ -226,19 +221,6 @@ class TestStreamDeterminism:
         run = dict(shards=2, epoch_packets=compiled.num_packets // 2, rng=4)
         assert stream(factory, compiled, **run).estimates_dict() == \
             stream(factory, compiled, **run).estimates_dict()
-
-    def test_pooled_equals_serial(self, compiled):
-        factory = scheme_factory("disco", b=B, seed=0)
-        kwargs = dict(shards=3, epoch_packets=compiled.num_packets // 3,
-                      rng=6)
-        try:
-            serial = stream(factory, compiled, **kwargs)
-            pooled = stream(factory, compiled, workers=2, **kwargs)
-        finally:
-            shutdown_pool()
-        assert serial.estimates_dict() == pooled.estimates_dict()
-        assert [s.packets for s in serial.snapshots] == \
-            [s.packets for s in pooled.snapshots]
 
     def test_extend_equals_consume_for_exact(self, trace, compiled):
         via_trace = stream(scheme_factory("exact"), compiled, shards=2,
@@ -518,16 +500,6 @@ class TestValidationParity:
                                            resume=True)),
         }
         assert messages == {"resume=True needs checkpoint_path="}
-
-    def test_workers_message_identical(self, compiled):
-        factory = scheme_factory("exact")
-        messages = {
-            self._msg(lambda: stream(factory, compiled, workers=0)),
-            self._msg(lambda: StreamSession(factory, workers=0)),
-            self._msg(lambda: build_daemon(factory, GeneratorFeed([]),
-                                           workers=0)),
-        }
-        assert messages == {"workers must be >= 1, got 0"}
 
 
 # ---------------------------------------------------------------------------
@@ -872,3 +844,51 @@ class TestStageTimers:
         assert all(entry["seconds"] >= 0 for entry in stages)
         assert sum(entry["seconds"] for entry in stages) \
             <= result.elapsed_seconds
+
+    def test_rotations_and_checkpoints_timed(self, compiled, tmp_path):
+        chunk = 512
+        session = StreamSession(
+            scheme_factory("disco", b=B), shards=2,
+            epoch_packets=compiled.num_packets // 3, chunk_packets=chunk,
+            rng=0, telemetry=Telemetry(),
+            checkpoint_path=str(tmp_path / "s.ckpt"), checkpoint_every=2)
+        session.consume(compiled)
+        # Only the rotations and checkpoints a chunk triggers are timed,
+        # not the ones finish() adds.
+        rotations = len(session.snapshots)
+        chunks = -(-compiled.num_packets // chunk)
+        result = session.finish()
+        snap = result.telemetry
+        assert rotations >= 2 and chunks >= 4
+        timers = snap["timers"]
+        assert timers["stream.stage.rotate"]["count"] == rotations
+        assert timers["stream.stage.checkpoint"]["count"] == chunks // 2
+        assert snap["counters"]["stream.checkpoints"] == chunks // 2 + 1
+        # A rotation is booked into the epoch it opened.
+        assert "stream.stage.rotate" not in \
+            result.snapshots[0].telemetry["timers"]
+        assert result.snapshots[1].telemetry["timers"][
+            "stream.stage.rotate"]["count"] == 1
+        stages = ("route", "gather", "kernel", "scatter", "rotate",
+                  "checkpoint")
+        assert sum(timers[f"stream.stage.{stage}"]["seconds"]
+                   for stage in stages) <= result.elapsed_seconds
+
+
+class TestOneSchemePerSession:
+    def test_factory_called_once(self, trace, compiled):
+        calls = []
+
+        def factory():  # a closure: unpicklable, so never shipped anywhere
+            calls.append(1)
+            return make_scheme("disco", b=B)
+
+        session = StreamSession(
+            factory, shards=3, chunk_packets=-(-compiled.num_packets // 5),
+            rng=0, telemetry=Telemetry())
+        # Shuffled packets: every chunk touches every shard.
+        session.extend(trace.packet_pairs(order="shuffled", rng=1))
+        counters = session.finish().telemetry["counters"]
+        assert counters["stream.chunks"] == 5
+        assert counters["stream.shard_runs"] == 15
+        assert len(calls) == 1
