@@ -640,6 +640,67 @@ def measure_serve(queries: int = 200) -> Dict[str, float]:
     return {"serve_query_p50_ms": round(statistics.median(samples) * 1e3, 3)}
 
 
+#: Churn session of :func:`measure_serve_queries`: keys per chunk (half
+#: of them new), chunks per epoch, and the closed-epoch counts timed.
+QUERY_CHUNK_KEYS = 2048
+QUERY_EPOCH_CHUNKS = 16
+QUERY_EPOCHS = (1, 8)
+#: Live flows a timed point query must find in the open epoch.
+QUERY_LIVE_FLOWS = 10_000
+
+
+def measure_serve_queries() -> Dict[str, float]:
+    """In-process query costs on a churn session (trajectory only).
+
+    :func:`measure_serve` times queries after the feed drained, when
+    every one hits the per-boundary read-out cache; this one times them
+    where their cost shows.  A native DISCO session (4 shards, pools
+    store) ingests churn chunks of :data:`QUERY_CHUNK_KEYS` int keys,
+    half of them new, in :data:`QUERY_EPOCH_CHUNKS`-chunk epochs.  At
+    every chunk boundary with at least :data:`QUERY_LIVE_FLOWS` live
+    flows and 1 or 8 closed epochs, the closed epochs are folded first
+    (their once-per-rotation cost), then the first ``flow()`` after the
+    chunk and one ``topk(10)`` are timed.  Returns the medians as
+    ``serve_flow_first_ms``, ``serve_topk_1ep_ms`` and
+    ``serve_topk_8ep_ms``.
+    """
+    import numpy as np
+
+    from repro import scheme_factory
+    from repro.serve import QueryEngine
+    from repro.streaming import StreamSession
+
+    gen = np.random.default_rng(TRACE_SEED)
+    session = StreamSession(
+        scheme_factory("disco", b=DISCO_B, seed=0), shards=4,
+        epoch_packets=QUERY_EPOCH_CHUNKS * QUERY_CHUNK_KEYS * 4,
+        rng=TRACE_SEED, engine="native", store="pools")
+    queries = QueryEngine(session)
+    flow_ms, topk_ms = [], {epochs: [] for epochs in QUERY_EPOCHS}
+    chunk = 0
+    while len(session.snapshots) <= max(QUERY_EPOCHS):
+        first = chunk * QUERY_CHUNK_KEYS // 2
+        keys = list(range(first, first + QUERY_CHUNK_KEYS))
+        sizes = gen.integers(1, 8, QUERY_CHUNK_KEYS)
+        lengths = gen.integers(40, 1501, int(sizes.sum())).astype(np.float64)
+        session.ingest_chunk(keys, np.split(lengths, np.cumsum(sizes)[:-1]))
+        chunk += 1
+        live = sum(len(session.live_keys(s)) for s in range(session.shards))
+        if live < QUERY_LIVE_FLOWS or len(session.snapshots) not in topk_ms:
+            continue
+        queries.sync()
+        start = time.perf_counter()
+        queries.flow(str(keys[0]))
+        flowed = time.perf_counter()
+        queries.topk(10)
+        flow_ms.append(flowed - start)
+        topk_ms[len(session.snapshots)].append(time.perf_counter() - flowed)
+    out = {"serve_flow_first_ms": statistics.median(flow_ms)}
+    for epochs, samples in topk_ms.items():
+        out[f"serve_topk_{epochs}ep_ms"] = statistics.median(samples)
+    return {key: round(value * 1e3, 3) for key, value in out.items()}
+
+
 def append_history(metrics: Dict[str, float],
                    path: Path = HISTORY_PATH,
                    limit: int = HISTORY_LIMIT,
@@ -835,6 +896,12 @@ def main(argv=None) -> int:
     telemetry.update(measure_serve())
     print(f"serve query latency: {telemetry['serve_query_p50_ms']:.3f} ms "
           f"p50 (history only, not gated)")
+    telemetry.update(measure_serve_queries())
+    print(f"serve query cost at >= {QUERY_LIVE_FLOWS} live flows: first "
+          f"flow after a chunk {telemetry['serve_flow_first_ms']:.3f} ms, "
+          f"topk(10) {telemetry['serve_topk_1ep_ms']:.3f} ms at 1 closed "
+          f"epoch, {telemetry['serve_topk_8ep_ms']:.3f} ms at 8 "
+          f"(history only, not gated)")
 
     if not args.no_history:
         append_history(metrics, telemetry=telemetry,

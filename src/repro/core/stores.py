@@ -134,6 +134,15 @@ class CounterStore(abc.ABC):
     def read(self, name: str) -> np.ndarray:
         """Decode a column back to a dense array (caller-owned)."""
 
+    def read_rows(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """Decode only ``rows`` of a column: equals ``read(name)[rows]``.
+
+        The random-access read a point query needs.  This default
+        decodes the whole column; backends override it to touch only
+        what holds ``rows``.
+        """
+        return self.read(name)[np.asarray(rows)]
+
     def add(self, name: str, rows: np.ndarray, deltas: np.ndarray) -> None:
         """Accumulate ``deltas`` into ``rows`` of a column (read-modify-write).
 
@@ -201,6 +210,9 @@ class DenseStore(CounterStore):
 
     def read(self, name: str) -> np.ndarray:
         return np.array(self._col(name)["data"], copy=True)
+
+    def read_rows(self, name: str, rows: np.ndarray) -> np.ndarray:
+        return self._col(name)["data"][np.asarray(rows)]
 
     def nbytes(self) -> int:
         return sum(int(col["data"].nbytes) for col in self._columns.values())
@@ -290,6 +302,34 @@ class PoolStore(CounterStore):
             om[ids.astype(np.int64)] = data.reshape(
                 ids.size, P).astype(np.int64)
         return out[:n].astype(np.dtype(col["dtype"]), copy=True)
+
+    def read_rows(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """Decode only the pools that hold ``rows``.
+
+        A row's pool gives its width class; the pool's slot in that
+        class's segment is one binary search over the segment's sorted
+        pool ids.  Counter Pools' random access to one lane.
+        """
+        col = self._col(name)
+        rows = np.asarray(rows)
+        if col["kind"] == "dense":
+            return col["data"][rows]
+        n = col["n"]
+        flat = rows.astype(np.int64).ravel()
+        if flat.size and (flat.min() < -n or flat.max() >= n):
+            raise IndexError(f"rows out of bounds for column {name!r} "
+                             f"of size {n}")
+        flat = np.where(flat < 0, flat + n, flat)
+        P = self.pool_lanes
+        pools = flat // P
+        widths = col["widths"][pools]
+        out = np.zeros(flat.size, dtype=np.int64)
+        for k, (ids, data) in col["segments"].items():
+            sel = np.flatnonzero(widths == k)
+            if sel.size:
+                slots = np.searchsorted(ids, pools[sel])
+                out[sel] = data[slots * P + flat[sel] % P]
+        return out.astype(np.dtype(col["dtype"])).reshape(rows.shape)
 
     def nbytes(self) -> int:
         total = 0
@@ -410,6 +450,15 @@ class MorrisStore(CounterStore):
         if col["kind"] == "dense":
             return np.array(col["data"], copy=True)
         decoded = np.rint(self.table[col["levels"].astype(np.int64)])
+        return decoded.astype(np.dtype(col["dtype"]), copy=False)
+
+    def read_rows(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """Decode only ``levels[rows]``."""
+        col = self._col(name)
+        rows = np.asarray(rows)
+        if col["kind"] == "dense":
+            return col["data"][rows]
+        decoded = np.rint(self.table[col["levels"][rows].astype(np.int64)])
         return decoded.astype(np.dtype(col["dtype"]), copy=False)
 
     def nbytes(self) -> int:

@@ -21,6 +21,7 @@ import http.client
 import json
 import threading
 from typing import Optional, Tuple
+from urllib.parse import quote
 
 from repro.errors import ParameterError
 
@@ -59,7 +60,8 @@ class ServeClient:
         return self._ok(*self.get("/healthz"))
 
     def flow(self, flow_id) -> dict:
-        status, payload = self.get(f"/flows/{flow_id}")
+        # Quoted whole: an id may hold '?', '#', '%' or '/'.
+        status, payload = self.get(f"/flows/{quote(str(flow_id), safe='')}")
         if status not in (200, 404):  # 404 = flow unseen, still an answer
             raise ParameterError(f"GET /flows/{flow_id} -> {status}: "
                                  f"{payload.get('error', payload)}")

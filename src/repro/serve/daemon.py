@@ -40,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from typing import Optional, Tuple
+from urllib.parse import unquote
 
 from repro import faults as _faults
 from repro import obs
@@ -85,7 +86,7 @@ class ServeDaemon:
         self.checkpoint_every = checkpoint_every
         self.pace = pace
         self.telemetry = obs.resolve(telemetry)
-        self.queries = QueryEngine(session)
+        self.queries = QueryEngine(session, telemetry=self.telemetry)
 
         self.bound_host: Optional[str] = None
         self.bound_port: Optional[int] = None
@@ -194,7 +195,7 @@ class ServeDaemon:
         if method == "GET":
             if path.startswith("/flows/"):
                 self.telemetry.count("serve.query.flows")
-                payload = self.queries.flow(path[len("/flows/"):])
+                payload = self.queries.flow(unquote(path[len("/flows/"):]))
                 return (200 if payload["found"] else 404), payload
             if path == "/topk":
                 self.telemetry.count("serve.query.topk")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -97,10 +98,12 @@ class HttpServer:
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
+        parse_s = 0.0
         try:
-            status, payload = await self._exchange(reader)
+            status, payload, parse_s = await self._exchange(reader)
         except Exception as exc:  # parse failure, client went away, ...
             status, payload = 400, {"error": str(exc)}
+        began = time.perf_counter()
         body = json.dumps(payload).encode("utf-8")
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
@@ -115,17 +118,26 @@ class HttpServer:
             pass
         finally:
             writer.close()
+        self._tel.timing("serve.stage.http",
+                         parse_s + time.perf_counter() - began)
 
     async def _exchange(self, reader: asyncio.StreamReader
-                        ) -> Tuple[int, object]:
+                        ) -> Tuple[int, object, float]:
+        """Read, parse and answer one request.
+
+        Returns ``(status, payload, parse seconds)``; parsing is timed
+        from the request line's arrival to the handler call.
+        """
         request_line = await reader.readline()
+        began = time.perf_counter()
         if not request_line:
-            return 400, {"error": "empty request"}
+            return 400, {"error": "empty request"}, 0.0
         try:
             method, target, _version = (
                 request_line.decode("ascii").strip().split(" ", 2))
         except ValueError:
-            return 400, {"error": f"malformed request line {request_line!r}"}
+            return (400, {"error": f"malformed request line {request_line!r}"},
+                    0.0)
         headers: Dict[str, str] = {}
         while True:
             line = await reader.readline()
@@ -135,19 +147,21 @@ class HttpServer:
             headers[name.strip().lower()] = value.strip()
         length = int(headers.get("content-length", "0") or "0")
         if length > _MAX_REQUEST_BYTES:
-            return 400, {"error": f"request body too large ({length} bytes)"}
+            return (400, {"error": f"request body too large ({length} bytes)"},
+                    0.0)
         body: Optional[dict] = None
         if length:
             raw = await reader.readexactly(length)
             try:
                 body = json.loads(raw)
             except ValueError:
-                return 400, {"error": "request body is not valid JSON"}
+                return 400, {"error": "request body is not valid JSON"}, 0.0
 
         split = urlsplit(target)
         params = {name: values[-1]
                   for name, values in parse_qs(split.query).items()}
         request = Request(method.upper(), split.path, params, body)
+        parse_s = time.perf_counter() - began
 
         self._tel.count("serve.http.requests")
         start = asyncio.get_event_loop().time()
@@ -162,4 +176,4 @@ class HttpServer:
                              asyncio.get_event_loop().time() - start)
         if status >= 400:
             self._tel.count("serve.http.errors")
-        return status, payload
+        return status, payload, parse_s

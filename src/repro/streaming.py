@@ -443,6 +443,11 @@ class StreamSession:
         self._epoch_volume_count = 0
         self._chunks_since_checkpoint = 0
         self._resume_skip = 0
+        #: Lanes the live read-outs have decoded (point reads and shard
+        #: read-outs alike); read-outs are cached per chunk boundary.
+        self.live_lanes_decoded = 0
+        self._readout_boundary: Optional[Tuple[int, int]] = None
+        self._readout_cache: Dict[int, tuple] = {}
 
     # -- feeding -------------------------------------------------------------
 
@@ -520,20 +525,71 @@ class StreamSession:
             self._ingest(list(keys), list(length_arrays))
 
     # -- live queries --------------------------------------------------------
+    #
+    # The read side of the serve daemon's ``/flows`` and ``/topk`` while
+    # ingestion continues.  Every read sees a chunk boundary: the
+    # daemon's single-threaded loop never interleaves a query with a
+    # half-applied chunk.
+
+    def live_flow(self, key: Hashable) -> Optional[Tuple[float, int]]:
+        """One open-epoch flow's ``(estimate, raw counter)``, or ``None``.
+
+        The key resolves through the epoch's id tables to its shard and
+        lane.  A lane-local kernel decodes that one row (``replicas``
+        lanes, :meth:`~repro.core.stores.CounterStore.read_rows` on a
+        compact store) through a one-row kernel; a coupled kernel (SAC,
+        SD, ICE) has no per-lane read-out, so it decodes the key's shard
+        once per chunk boundary.  :attr:`live_lanes_decoded` counts the
+        lanes either way decodes.
+        """
+        i = self._ids.get(key)
+        if i is None:
+            return None
+        shard, lane = int(self._id_shard[i]), int(self._id_lane[i])
+        state = self._state[shard]
+        if not self._lane_local:
+            _, estimates, counters, rows = self._shard_readout(shard)
+            row = int(rows[lane])
+            return float(estimates[row]), int(counters[row])
+        R = state.replicas
+        lanes = lane * R + np.arange(R)
+        store = state.store
+        if store is None:
+            arrays = {name: col[lanes] for name, col in state.arrays.items()}
+        else:
+            arrays = {name: store.read_rows(name, lanes)
+                      for name in store.columns()}
+        kernel = self._spec.factory(R, np.random.default_rng(0), R)
+        kernel.load_rows(KernelState(index={key: 0}, arrays=arrays,
+                                     scalars=state.scalars, replicas=R))
+        self.live_lanes_decoded += R
+        return float(kernel.estimates()[0]), int(kernel.counters()[0])
+
+    def live_readout(self, shard: int
+                     ) -> Tuple[List[Hashable], np.ndarray, np.ndarray]:
+        """One shard's open epoch as arrays: ``(keys, estimates, counters)``.
+
+        Aligned by position, in the shard's ``index`` order; no dict is
+        built.  The decode is cached per chunk boundary, so the arrays
+        are read-only and shared between callers.
+        """
+        keys, estimates, counters, _ = self._shard_readout(shard)
+        return keys, estimates, counters
+
+    def live_keys(self, shard: int) -> List[Hashable]:
+        """One shard's open-epoch keys in lane order, decoding nothing.
+
+        The session's own list, grown as keys arrive: read it, do not
+        change it.
+        """
+        return self._lane_keys[shard]
 
     def live_estimates(self) -> Dict[Hashable, float]:
-        """Per-flow estimates for the *open* (not yet rotated) epoch.
-
-        Decodes the carried shard states without resetting them — the
-        read side of the serve daemon's ``/flows`` and ``/topk`` while
-        ingestion continues.  Consistent at chunk boundaries: the
-        daemon's single-threaded loop never interleaves a query with a
-        half-applied chunk.
-        """
+        """Per-flow estimates for the *open* (not yet rotated) epoch."""
         merged: Dict[Hashable, float] = {}
-        for state in self._state:
-            merged.update(zip(state.index,
-                              _readout(self._spec, state)[0].tolist()))
+        for shard in range(self.shards):
+            keys, estimates, _ = self.live_readout(shard)
+            merged.update(zip(keys, estimates.tolist()))
         return merged
 
     def live_counters(self) -> Dict[Hashable, int]:
@@ -544,10 +600,39 @@ class StreamSession:
         takes the counter value, not the estimate.
         """
         merged: Dict[Hashable, int] = {}
-        for state in self._state:
-            merged.update(zip(state.index,
-                              _readout(self._spec, state)[1].tolist()))
+        for shard in range(self.shards):
+            keys, _, counters = self.live_readout(shard)
+            merged.update(zip(keys, counters.tolist()))
         return merged
+
+    def _shard_readout(self, shard: int):
+        """``live_readout`` plus each lane's row in it, cached per boundary.
+
+        ``(epoch, chunk in epoch)`` names a chunk boundary: every
+        ingested chunk advances it and every rotation opens a new epoch.
+        The lane → row map is built for coupled kernels only, whose
+        ``index`` keeps the last replay's row order; a lane-local
+        shard's rows are its lanes.
+        """
+        boundary = (self.epoch_index, self._chunk_in_epoch)
+        if boundary != self._readout_boundary:
+            self._readout_cache = {}
+            self._readout_boundary = boundary
+        cached = self._readout_cache.get(shard)
+        if cached is None:
+            state = self._state[shard]
+            estimates, counters = _readout(self._spec, state)
+            estimates.setflags(write=False)
+            counters.setflags(write=False)
+            rows = None
+            if not self._lane_local:
+                rows = np.zeros(state.flows, dtype=np.int64)
+                rows[np.fromiter(state.index.values(), dtype=np.int64,
+                                 count=state.flows)] = np.arange(state.flows)
+            self.live_lanes_decoded += state.flows * state.replicas
+            cached = (list(state.index), estimates, counters, rows)
+            self._readout_cache[shard] = cached
+        return cached
 
     # -- internals -----------------------------------------------------------
 

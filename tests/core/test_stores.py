@@ -19,6 +19,7 @@ from repro.core.batchreplay import run_kernel
 from repro.core.kernels import kernel_spec
 from repro.core.stores import (
     DEFAULT_STORE,
+    CounterStore,
     DenseStore,
     MorrisStore,
     PoolStore,
@@ -266,6 +267,65 @@ class TestMorrisStore:
         values = np.array([10**9], dtype=np.int64)
         store.write("c", values)
         assert store.read("c")[0] <= 10_000
+
+
+# ---------------------------------------------------------------------------
+# random access: read_rows
+# ---------------------------------------------------------------------------
+
+class TestReadRows:
+    """``read_rows(name, rows)`` equals ``read(name)[rows]`` bit for bit."""
+
+    COLUMNS = {
+        "heavy": heavy_tailed_column(),
+        "signed": np.arange(-700, 700, 3, dtype=np.int64) * 1001,
+        "uint": np.arange(300, dtype=np.uint32) * 7,
+        "float": np.linspace(0.0, 9.5, 257),
+        "empty": np.zeros(0, dtype=np.int64),
+    }
+
+    @pytest.mark.parametrize("column", sorted(COLUMNS))
+    @pytest.mark.parametrize("name", ["dense", "pools", "morris"])
+    def test_equals_full_read(self, name, column):
+        values = self.COLUMNS[column]
+        store = make_store(name)
+        store.write("c", values)
+        full = store.read("c")
+        n = values.size
+        gen = np.random.default_rng(n)
+        picks = [np.zeros(0, dtype=np.int64)]
+        if n:
+            picks += [gen.integers(0, n, 40), np.array([0, n - 1, n // 2]),
+                      np.array([-1, -n, 3 % n]), np.arange(n),
+                      gen.integers(0, n, (3, 4))]
+        for rows in picks:
+            got = store.read_rows("c", rows)
+            assert got.dtype == full.dtype
+            assert np.array_equal(got, full[rows]), (name, column, rows)
+
+    def test_pools_decodes_only_the_rows_pools(self, monkeypatch):
+        store = PoolStore(pool_lanes=8)
+        values = heavy_tailed_column(n=4000)
+        store.write("c", values)
+        monkeypatch.setattr(PoolStore, "read", None)  # never the whole column
+        assert store.read_rows("c", np.array([3999, 5, 2048])).tolist() == \
+            values[[3999, 5, 2048]].tolist()
+
+    @pytest.mark.parametrize("name", ["dense", "pools", "morris"])
+    def test_out_of_bounds_rows_raise(self, name):
+        store = make_store(name)
+        store.write("c", np.arange(10, dtype=np.int64))
+        for rows in ([10], [-11]):
+            with pytest.raises(IndexError):
+                store.read_rows("c", np.array(rows))
+
+    def test_default_reads_whole_column(self):
+        class Plain(DenseStore):
+            read_rows = CounterStore.read_rows
+
+        store = Plain()
+        store.write("c", np.arange(6, dtype=np.int64) * 3)
+        assert store.read_rows("c", np.array([5, 0])).tolist() == [15, 0]
 
 
 # ---------------------------------------------------------------------------

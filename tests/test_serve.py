@@ -17,11 +17,15 @@ import asyncio
 import socket
 import time
 
+import numpy as np
 import pytest
 
 import repro.faults as faults_mod
 from repro import obs, scheme_factory, stream
+from repro.core.confidence import confidence_interval
+from repro.core.stores import PoolStore
 from repro.errors import ParameterError
+from repro.flows import FiveTuple
 from repro.serve import (
     DaemonHandle,
     GeneratorFeed,
@@ -30,6 +34,7 @@ from repro.serve import (
     build_daemon,
     make_feed,
 )
+from repro.serve.queries import QueryEngine
 from repro.streaming import StreamSession
 from repro.traces.compiled import compile_trace
 from repro.traces.nlanr import nlanr_like
@@ -317,36 +322,233 @@ class TestQuerySurface:
                 assert live[key] == pytest.approx(value)
         assert handle.error is None
 
-    def test_flow_queries_decode_live_counters_once_per_boundary(
-            self, compiled):
-        # N /flows queries at one chunk boundary share one decode of the
-        # live counters (the confidence interval's input).
-        config = dict(_config(compiled), epoch_packets=None)
-        chunks = _collect(TraceFeed(compiled), config["chunk_packets"])[:3]
+    @pytest.mark.parametrize("live_flows", [100, 5000])
+    def test_point_query_decodes_one_row(self, monkeypatch, live_flows):
+        # One /flows/{id} decodes the queried flow's row (``replicas``
+        # lanes, out of its pool) whatever the live-state size: no
+        # whole-state read-out, no whole-column store decode.
+        gen = np.random.default_rng(live_flows)
+        keys = list(range(live_flows))
+        chunk = (keys, [gen.uniform(40, 1500, 1 + i % 3) for i in keys])
 
-        async def replay_prefix():
-            for keys, arrays in chunks:
-                yield keys, arrays
+        async def one_chunk():
+            yield chunk
 
         feed = GeneratorFeed([])
-        feed.batches = lambda cp, start=0: replay_prefix()
-        daemon = build_daemon(_factory(), feed, **config)
-        decodes = []
-        live_counters = daemon.session.live_counters
-
-        def counted():
-            decodes.append(daemon.session.packets_consumed)
-            return live_counters()
-
-        daemon.session.live_counters = counted
-        flow = str(chunks[0][0][0])
-        packets = sum(int(a.size) for _, arrays in chunks for a in arrays)
+        feed.batches = lambda cp, start=0: one_chunk()
+        daemon = build_daemon(_factory(), feed, shards=4, store="pools",
+                              rng=3, engine="vector")
+        packets = sum(int(a.size) for a in chunk[1])
         with DaemonHandle(daemon) as handle:
             _wait_ingested(handle.client, packets)
-            answers = [handle.client.flow(flow) for _ in range(8)]
+            calls = []
+            with monkeypatch.context() as patch:  # undone before the drain
+                for name in ("live_estimates", "live_counters",
+                             "live_readout"):
+                    patch.setattr(daemon.session, name,
+                                  lambda *a, name=name: calls.append(name))
+                patch.setattr(PoolStore, "read",
+                              lambda *a: calls.append("PoolStore.read"))
+                for flow in (0, live_flows // 2, live_flows - 1):
+                    before = _counter(handle.client,
+                                      "serve.query.lanes_decoded")
+                    payload = handle.client.flow(flow)
+                    after = _counter(handle.client,
+                                     "serve.query.lanes_decoded")
+                    assert payload["found"]
+                    assert payload["confidence"] is not None
+                    assert after - before == 1  # replicas
+                assert not handle.client.flow("no-such-flow")["found"]
+                assert _counter(handle.client,
+                                "serve.query.lanes_decoded") == 3
         assert handle.error is None
-        assert all(a["confidence"] is not None for a in answers)
-        assert decodes == [packets]
+        assert calls == []
+
+    def test_flow_ids_with_reserved_url_characters(self):
+        # '?', '#' and '%' in a flow id must reach the daemon verbatim.
+        feed = SocketFeed(flush_seconds=0.05)
+        daemon = build_daemon(scheme_factory("exact"), feed, chunk_packets=4,
+                              rng=3, engine="vector")
+        with DaemonHandle(daemon) as handle:
+            _wait_bound(feed)
+            with socket.create_connection((feed.host, feed.port)) as conn:
+                conn.sendall(b"a?b 100\nc%41 50\nd#e 10\nplain 7\n")
+            _wait_ingested(handle.client, 4)
+            for flow, estimate in (("a?b", 100.0), ("c%41", 50.0),
+                                   ("d#e", 10.0), ("plain", 7.0)):
+                payload = handle.client.flow(flow)
+                assert payload["flow"] == flow
+                assert payload["found"], flow
+                assert payload["live_estimate"] == estimate
+            assert not handle.client.flow("cA")["found"]
+        assert handle.error is None
+
+    def test_http_stage_timed(self, compiled):
+        daemon = build_daemon(_factory(), TraceFeed(compiled),
+                              **_config(compiled))
+        with DaemonHandle(daemon) as handle:
+            _wait_ingested(handle.client, compiled.num_packets)
+            handle.client.topk(3)
+            timers = handle.client.telemetry()["telemetry"]["timers"]
+            http = timers["serve.stage.http"]
+            assert http["count"] >= 2 and http["seconds"] > 0
+        assert handle.error is None
+
+
+def _counter(client, name):
+    return client.telemetry()["telemetry"]["counters"].get(name, 0)
+
+
+def _wait_bound(feed, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while feed._server is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert feed._server is not None, "socket feed never bound"
+
+
+# ---------------------------------------------------------------------------
+# answers == a brute-force read-out
+# ---------------------------------------------------------------------------
+
+#: Every registry scheme, sized so its coupling machinery fires on the
+#: small feed below (SAC renormalisation, SD flushes, ICE up-scales).
+SCHEMES = {
+    "disco": dict(b=1.05, capacity_bits=9),
+    "exact": {},
+    "sac": dict(bits=8, mode_bits=3),
+    "sd": dict(sram_bits=10, dram_access_ratio=4),
+    "anls1": dict(b=1.02),
+    "anls2": dict(b=1.02),
+    "ice": dict(bits=6, bucket_flows=4),
+    "aee": dict(p=0.3, bits=10),
+}
+
+
+def _zipf_chunks(seed, count, packets=300, flows=250):
+    """Seeded chunks over ``flows`` int keys (Zipf-ish), 40-1500 B packets."""
+    gen = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, flows + 1)
+    chunks = []
+    for _ in range(count):
+        picks = gen.choice(flows, size=packets, p=weights / weights.sum())
+        keys = sorted(set(picks.tolist()))
+        lengths = {key: [] for key in keys}
+        for key, length in zip(picks.tolist(),
+                               gen.integers(40, 1501, packets).tolist()):
+            lengths[key].append(float(length))
+        chunks.append((keys, [np.array(lengths[k]) for k in keys]))
+    return chunks
+
+
+def _brute_force(session, b):
+    """Every flow's answer, built from snapshots + the live dict read-outs."""
+    series = {}
+    for snapshot in session.snapshots:
+        for key, estimate in snapshot.estimates_dict().items():
+            series.setdefault(key, []).append(float(estimate))
+    live = session.live_estimates()
+    counters = session.live_counters()
+    answers = {}
+    for key in set(series) | set(live):
+        epochs = series.get(key, [])
+        confidence = None
+        if b is not None and key in counters:
+            ci = confidence_interval(b, counters[key])
+            confidence = {"estimate": ci.estimate, "low": ci.low,
+                          "high": ci.high, "level": ci.level,
+                          "relative_stddev": ci.relative_stddev}
+        answers[key] = {"epochs": epochs, "epoch_total": sum(epochs),
+                        "live_estimate": live.get(key),
+                        "total": sum(epochs) + live.get(key, 0.0),
+                        "confidence": confidence}
+    return answers
+
+
+class TestAnswersMatchBruteForce:
+    @pytest.mark.parametrize("store", ["dense", "pools", "morris"])
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_flow_and_topk(self, name, store):
+        session = StreamSession(scheme_factory(name, seed=0, **SCHEMES[name]),
+                                shards=3, rng=5, store=store)
+        engine = QueryEngine(session)
+        chunks = _zipf_chunks(len(name), 9)
+        for i, (keys, arrays) in enumerate(chunks):
+            session.ingest_chunk(keys, arrays)
+            if i in (2, 5):
+                session.rotate()
+            if i not in (1, 3, 8):  # before, between and after rotations
+                continue
+            expected = _brute_force(session, engine.b)
+            for key, want in expected.items():
+                got = engine.flow(str(key))
+                assert got["found"] and got["flow"] == str(key)
+                assert {k: got[k] for k in want} == want, (name, store, key)
+            ranked = sorted(expected.items(),
+                            key=lambda kv: (-kv[1]["total"], str(kv[0])))
+            for n in (1, 7, len(ranked) + 3):
+                assert [(f["flow"], f["estimate"])
+                        for f in engine.topk(n)["flows"]] == [
+                    (str(key), want["total"]) for key, want in ranked[:n]]
+            assert 7 in expected
+            assert not engine.flow("007")["found"]
+            unseen = engine.flow("no-such-flow")
+            assert not unseen["found"] and unseen["epochs"] == []
+            assert unseen["live_estimate"] is None and unseen["total"] == 0.0
+        assert session.epoch_index == 2
+
+    def test_coupled_kernel_decodes_one_shard_per_boundary(self):
+        # SAC couples a shard's lanes: a point read decodes the key's
+        # shard, once per chunk boundary, and no other shard.
+        session = StreamSession(scheme_factory("sac", seed=0, **SCHEMES["sac"]),
+                                shards=3, rng=5)
+        chunks = _zipf_chunks(1, 2)
+        session.ingest_chunk(*chunks[0])
+        key = chunks[0][0][0]
+        shard = next(s for s in range(3) if key in session.live_keys(s))
+        for _ in range(3):
+            assert session.live_flow(key) is not None
+        own = len(session.live_keys(shard))
+        assert 0 < own < sum(len(session.live_keys(s)) for s in range(3))
+        assert session.live_lanes_decoded == own
+        session.ingest_chunk(*chunks[1])
+        session.live_flow(key)
+        assert session.live_lanes_decoded == own + len(session.live_keys(shard))
+
+    def test_ties_rank_by_flow_id(self):
+        session = StreamSession(scheme_factory("exact"), shards=2, rng=1)
+        engine = QueryEngine(session)
+        keys = [12, 3, "b", "a", 40]
+        session.ingest_chunk(keys, [np.array([5.0])] * 5)
+        assert [f["flow"] for f in engine.topk(3)["flows"]] == \
+            ["12", "3", "40"]
+        assert [f["flow"] for f in engine.topk(5)["flows"]] == \
+            ["12", "3", "40", "a", "b"]
+
+    def test_keys_of_other_types_found_by_str(self):
+        flows = [(1, 2), FiveTuple("10.0.0.1", "10.0.0.2", 80, 443, 6),
+                 b"raw", True, 7, "7x"]
+        session = StreamSession(scheme_factory("exact"), shards=2, rng=1)
+        engine = QueryEngine(session)
+        session.ingest_chunk(flows[:3], [np.array([10.0])] * 3)
+        session.rotate()
+        session.ingest_chunk(flows[1:], [np.array([5.0])] * 5)
+        expected = _brute_force(session, None)
+        for key in flows:
+            got = engine.flow(str(key))
+            assert got["found"], key
+            assert got["total"] == expected[key]["total"]
+        assert engine.flow(str(flows[1]))["epochs"] == [10.0]
+
+    def test_int_and_str_keys_build_no_str_table(self):
+        session = StreamSession(scheme_factory("exact"), shards=2, rng=1)
+        engine = QueryEngine(session)
+        session.ingest_chunk([1, "x", 3], [np.array([10.0])] * 3)
+        session.rotate()
+        session.ingest_chunk([3, "y"], [np.array([5.0])] * 2)
+        assert engine.flow("3")["total"] == 15.0
+        assert not engine.flow("nope")["found"]
+        engine.topk(2)
+        assert engine._closed_named == {} and engine._live_named == {}
 
 
 # ---------------------------------------------------------------------------
