@@ -23,7 +23,7 @@ test:
 
 # Same suite with the compiled native backend masked: proves every
 # engine="native" / engine="auto" caller degrades cleanly to the vector
-# path on machines without Numba or a C compiler.
+# path on machines without a C compiler.
 test-nonative:
 	REPRO_DISABLE_NATIVE=1 $(PYTHON) -m pytest tests/ -q
 

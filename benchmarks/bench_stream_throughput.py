@@ -90,7 +90,7 @@ def measure_stream(trace=None, repeats=REPEATS):
     from repro.core import native
 
     if native.available():
-        # Untimed warmup absorbs the one-off JIT/compile cost, so the
+        # Untimed warmup absorbs the one-off compile cost, so the
         # ratio measures steady-state chunk replays only.
         stream(factory, compiled, shards=STREAM_SHARDS,
                epoch_packets=epoch_packets, chunk_packets=epoch_packets,

@@ -353,11 +353,11 @@ def measure_native(trace=None, repeats: int = REPEATS) -> Dict[str, float]:
     comparators), on the same compiled comparator trace
     :func:`measure_comparators` uses so the pps numbers are directly
     comparable.  Returns ``{}`` when the native backend is unavailable
-    (no Numba and no C compiler, or ``REPRO_DISABLE_NATIVE=1``) — the
-    gate then simply skips the :data:`NATIVE_FLOORS` checks.
+    (no C compiler, or ``REPRO_DISABLE_NATIVE=1``) — the gate then
+    simply skips the :data:`NATIVE_FLOORS` checks.
 
     One untimed warmup run per engine precedes the timed runs, so the
-    one-off JIT/compile cost (visible separately in the
+    one-off compile cost (visible separately in the
     ``replay.native.warmup`` telemetry span) never pollutes the
     throughput numbers.
     """
@@ -385,7 +385,7 @@ def measure_native(trace=None, repeats: int = REPEATS) -> Dict[str, float]:
         timings: Dict[str, float] = {}
         for engine in ("vector", "native"):
             replay(scheme_for(name, 0), compiled, order="asis",
-                   engine=engine)  # warmup: JIT/compile + caches
+                   engine=engine)  # warmup: compile + caches
             elapsed = []
             for seed in range(repeats):
                 result = replay(scheme_for(name, seed), compiled,
@@ -701,6 +701,62 @@ def measure_serve_queries() -> Dict[str, float]:
     return {key: round(value * 1e3, 3) for key, value in out.items()}
 
 
+#: Pair-batching workload of :func:`measure_pair_batching`: seeded
+#: ``(flow, length)`` pairs over this many distinct int flows, so a
+#: default 8192-packet chunk holds several thousand keys.
+BATCH_PAIRS = 200_000
+BATCH_FLOWS = 50_000
+#: Timed runs (after one warm-up) the medians are taken over.
+BATCH_REPEATS = 5
+
+
+def measure_pair_batching() -> Dict[str, float]:
+    """``extend()`` and ``GeneratorFeed`` cost at high key cardinality.
+
+    Both batch ``(flow, length)`` pairs through
+    :func:`repro.streaming.pair_batches`, and no ``bench/`` workload
+    runs either path (they ingest pre-built chunks), so this is where a
+    slower batcher shows.  :data:`BATCH_PAIRS` seeded pairs over
+    :data:`BATCH_FLOWS` int flows are fed to a 4-shard vector DISCO
+    ``StreamSession.extend`` and drained through
+    ``GeneratorFeed.batches`` (batching alone).  Returns the medians of
+    :data:`BATCH_REPEATS` warm runs as ``extend_pairs_ms`` and
+    ``generator_feed_ms`` — history only, never gated.
+    """
+    import asyncio
+
+    import numpy as np
+
+    from repro import scheme_factory
+    from repro.serve import GeneratorFeed
+    from repro.streaming import DEFAULT_CHUNK_PACKETS, StreamSession
+
+    gen = np.random.default_rng(TRACE_SEED)
+    pairs = list(zip(gen.integers(0, BATCH_FLOWS, BATCH_PAIRS).tolist(),
+                     gen.integers(40, 1501, BATCH_PAIRS).tolist()))
+
+    def extend() -> None:
+        session = StreamSession(scheme_factory("disco", b=DISCO_B, seed=0),
+                                shards=4, rng=TRACE_SEED, engine="vector")
+        session.extend(pairs)
+
+    async def drain() -> None:
+        async for _ in GeneratorFeed(pairs).batches(DEFAULT_CHUNK_PACKETS):
+            pass
+
+    out = {}
+    for key, run in (("extend_pairs_ms", extend),
+                     ("generator_feed_ms", lambda: asyncio.run(drain()))):
+        run()  # warm-up, untimed
+        samples = []
+        for _ in range(BATCH_REPEATS):
+            start = time.perf_counter()
+            run()
+            samples.append(time.perf_counter() - start)
+        out[key] = round(statistics.median(samples) * 1e3, 1)
+    return out
+
+
 def append_history(metrics: Dict[str, float],
                    path: Path = HISTORY_PATH,
                    limit: int = HISTORY_LIMIT,
@@ -709,10 +765,10 @@ def append_history(metrics: Dict[str, float],
     """Append one trajectory entry, pruning to the last ``limit`` runs.
 
     ``telemetry`` (the :func:`measure_overhead` report) and
-    ``native_backend`` (which compiled provider — ``"numba"``, ``"cc"``
-    or ``"none"`` — produced this run's ``perf_native_*`` numbers) are
-    recorded in the history only — never in ``baseline.json``, whose
-    key set the accuracy gate checks exactly.
+    ``native_backend`` (``"cc"`` when the compiled C provider produced
+    this run's ``perf_native_*`` numbers, else ``"none"``) are recorded
+    in the history only — never in ``baseline.json``, whose key set the
+    accuracy gate checks exactly.
     """
     history = []
     if path.exists():
@@ -840,7 +896,7 @@ def main(argv=None) -> int:
                   f"floor {NATIVE_FLOORS[name]:.1f}x)")
     else:
         print("native backend unavailable "
-              "(no Numba, no C compiler, or REPRO_DISABLE_NATIVE=1); "
+              "(no C compiler, or REPRO_DISABLE_NATIVE=1); "
               "skipping native floors")
 
     metrics.update(measure_stream_metrics())
@@ -901,6 +957,12 @@ def main(argv=None) -> int:
           f"flow after a chunk {telemetry['serve_flow_first_ms']:.3f} ms, "
           f"topk(10) {telemetry['serve_topk_1ep_ms']:.3f} ms at 1 closed "
           f"epoch, {telemetry['serve_topk_8ep_ms']:.3f} ms at 8 "
+          f"(history only, not gated)")
+
+    telemetry.update(measure_pair_batching())
+    print(f"pair batching ({BATCH_PAIRS} pairs over {BATCH_FLOWS} flows): "
+          f"extend() {telemetry['extend_pairs_ms']:.1f} ms, "
+          f"GeneratorFeed {telemetry['generator_feed_ms']:.1f} ms "
           f"(history only, not gated)")
 
     if not args.no_history:

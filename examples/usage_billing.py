@@ -11,8 +11,8 @@ Run:  python examples/usage_billing.py
 
 import random
 
-from repro import DiscoSketch, choose_b
-from repro.apps import EpochManager, HeavyHitterDetector, UsageAccountant, epoch_delta
+from repro import DiscoSketch, StreamSession, choose_b, scheme_factory
+from repro.apps import ChangeDetector, HeavyHitterDetector, UsageAccountant
 from repro.harness import render_table
 
 CUSTOMERS = ("acme", "globex", "initech")
@@ -67,18 +67,19 @@ total = accountant.total_traffic()
 print(f"\nLink total: {total.usage / 1e6:.2f} MB "
       f"(true {sum(truth.values()) / 1e6:.2f} MB)")
 
-# Epoch rotation: split the same stream into two halves and diff them.
+# Epoch rotation: stream the same packets as two half-length epochs and
+# report the changes that stand out from DISCO's own error bars.
 print()
 print("Epoch change report (two halves of the stream)")
-epochs = EpochManager(lambda: DiscoSketch(b=b, mode="volume", rng=3),
-                      epoch_packets=len(packets) // 2)
-for flow, length in packets:
-    epochs.observe(flow, length)
-if len(epochs.records) >= 2:
-    first, second = epochs.records[0], epochs.records[1]
-    deltas = epoch_delta(first, second, min_change=200_000)
-    movers = sorted(deltas.items(), key=lambda kv: abs(kv[1]), reverse=True)[:5]
-    print(render_table(
-        ["flow", "change MB"],
-        [[flow, change / 1e6] for flow, change in movers],
-    ))
+half = len(packets) // 2
+session = StreamSession(scheme_factory("disco", b=b, mode="volume"),
+                        epoch_packets=half, chunk_packets=half // 10, rng=3)
+session.extend(packets)
+first, second = session.finish().snapshots[:2]
+changes = ChangeDetector(b=b, min_change=200_000).compare_records(first,
+                                                                  second)
+print(render_table(
+    ["flow", "before MB", "after MB", "change MB", "z"],
+    [[c.flow, c.before / 1e6, c.after / 1e6, c.change / 1e6, c.z_score]
+     for c in changes[:5]],
+))

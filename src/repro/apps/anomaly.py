@@ -1,10 +1,12 @@
 """Error-aware traffic-change detection across measurement epochs.
 
-Diffing two epochs' estimates (``repro.apps.epochs.epoch_delta``) flags
-raw changes; an operator also needs to know which changes are *real* —
-larger than the estimators' own noise.  DISCO makes that decidable: each
-epoch estimate carries a Theorem-2 relative error, so a change is
-significant when it exceeds ``z`` combined standard deviations.
+Diffing two epochs' estimates flags raw changes; an operator also needs
+to know which changes are *real* — larger than the estimators' own
+noise.  DISCO makes that decidable: each epoch estimate carries a
+Theorem-2 relative error, so a change is significant when it exceeds
+``z`` combined standard deviations.  The epochs are the
+:class:`~repro.streaming.EpochSnapshot` objects a
+:class:`~repro.streaming.StreamSession` rotates out.
 
 This is the measurement-backed version of the load-change detection that
 sampling papers (Choi et al., SIGMETRICS 2002 — reference [1] of the
@@ -105,5 +107,10 @@ class ChangeDetector:
         return changes
 
     def compare_records(self, before, after) -> List[TrafficChange]:
-        """Convenience overload for :class:`repro.apps.epochs.EpochRecord`."""
-        return self.compare(before.estimates, after.estimates)
+        """:meth:`compare` on two :class:`~repro.streaming.EpochSnapshot`.
+
+        The snapshots a :class:`~repro.streaming.StreamSession` rotates
+        out (``session.snapshots``, ``StreamResult.snapshots``); each
+        is read through ``estimates_dict()``.
+        """
+        return self.compare(before.estimates_dict(), after.estimates_dict())

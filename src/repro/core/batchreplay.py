@@ -281,7 +281,7 @@ def run_kernel(
         (:meth:`~repro.core.kernels.SchemeKernel.native_step`) and falls
         back to the columnar loop when the kernel declines or no native
         provider is available (counted as ``batch.native_fallback``).
-        Runner resolution — including any JIT compilation — happens
+        Runner resolution — including the one-off C compile — happens
         under the ``replay.native.warmup`` span *before* the timer
         starts, so compile time never pollutes throughput numbers.
     store:
@@ -330,7 +330,7 @@ def run_kernel(
 
     native_run = None
     if engine == "native":
-        # Resolve (and, for JIT providers, compile) the runner before the
+        # Resolve (and, on first use, compile) the runner before the
         # timer starts: warmup cost lands in its own span, not in
         # ``elapsed_seconds``.
         with tel.span("replay.native.warmup"):

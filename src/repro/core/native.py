@@ -8,27 +8,19 @@ machine code and drives them over the *same* CSR-compiled trace arrays
 (:mod:`repro.traces.compiled`) and the *same* pre-drawn uniform streams
 as the vector path.
 
-Providers
----------
-Two providers are probed lazily, in order:
+Provider
+--------
+A small C library compiled once per process lifetime from the embedded
+source below (``gcc -O2``, cached by source hash in the system temp
+directory) and bound through :mod:`ctypes`.  It covers every kernel.
+The flags pin IEEE semantics (``-ffp-contract=off -fno-fast-math``) so
+float compares match NumPy's, and the library must pass tiny reference
+cases before it is trusted.
 
-``numba``
-    ``@njit`` mirrors of the simple integer/compare loops (exact, ANLS).
-    Imported lazily through :func:`_load_numba` (the monkeypatch point
-    for fallback tests) and self-verified against tiny reference cases
-    before use — a numba that imports but miscompiles is dropped, not
-    trusted.
-``cc``
-    A small C library compiled once per process lifetime from the
-    embedded source below (``gcc -O2``, cached by source hash in the
-    system temp directory) and bound through :mod:`ctypes`.  Covers every
-    kernel.  The flags pin IEEE semantics (``-ffp-contract=off
-    -fno-fast-math``) so float compares match NumPy's.
-
-When neither provider is usable — no Numba, no C toolchain, or
-``REPRO_DISABLE_NATIVE=1`` — :func:`available` is False and the engine
-resolver falls back to ``vector`` with a single warning.  Nothing here
-imports, compiles or probes anything until the first native request.
+When it is unusable — no C toolchain, or ``REPRO_DISABLE_NATIVE=1`` —
+:func:`available` is False and the engine resolver falls back to
+``vector`` with a single warning.  Nothing here imports, compiles or
+probes anything until the first native request.
 
 Bit-identity
 ------------
@@ -89,7 +81,7 @@ __all__ = [
     "ice_runner",
 ]
 
-#: Environment kill-switch: set to any non-empty value to mask every
+#: Environment kill-switch: set to any non-empty value to mask the C
 #: provider (``make test-nonative`` runs the suite this way).
 DISABLE_ENV = "REPRO_DISABLE_NATIVE"
 
@@ -655,7 +647,6 @@ void repro_sd(const double *lengths, const int64_t *offsets,
 _lock = threading.RLock()
 _probed = False
 _cc: Optional[ctypes.CDLL] = None
-_numba: Optional[Dict[str, Callable]] = None
 _warned = False
 
 #: Per-``b`` probability tables shared across replays: ``(ptab, ltab)``
@@ -667,13 +658,6 @@ _TABLES: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
 def disabled() -> bool:
     """Whether the ``REPRO_DISABLE_NATIVE`` kill-switch is set."""
     return bool(os.environ.get(DISABLE_ENV, "").strip())
-
-
-def _load_numba():
-    """Import numba (separate function = the test monkeypatch point)."""
-    import importlib
-
-    return importlib.import_module("numba")
 
 
 def _cache_dir() -> str:
@@ -737,133 +721,42 @@ def _self_check_cc(lib: ctypes.CDLL) -> Optional[ctypes.CDLL]:
     return lib
 
 
-def _build_numba() -> Optional[Dict[str, Callable]]:
-    """Compile the njit subset (exact + ANLS) and self-verify it."""
-    try:
-        numba = _load_numba()
-        njit = numba.njit
-    except Exception:
-        return None
-    try:
-        @njit(cache=False)
-        def nb_exact(lengths, offsets, sizes, nflows, R, volume, totals):
-            for i in range(nflows):
-                n = sizes[i]
-                if volume:
-                    s = np.int64(0)
-                    for j in range(offsets[i], offsets[i] + n):
-                        s += np.int64(lengths[j])
-                    add = s
-                else:
-                    add = np.int64(n)
-                for r in range(R):
-                    totals[i * R + r] += add
-
-        @njit(cache=False)
-        def nb_anls_columns(lengths, offsets, actives, t_end, R, volume,
-                            u, ptab, ln_b, c):
-            tabn = ptab.shape[0]
-            ui = 0
-            for t in range(t_end):
-                act = actives[t]
-                for i in range(act):
-                    amount = np.int64(lengths[offsets[i] + t]) if volume \
-                        else np.int64(1)
-                    for r in range(R):
-                        lane = i * R + r
-                        cc = c[lane]
-                        p = ptab[cc] if 0 <= cc < tabn \
-                            else np.exp(-np.float64(cc) * ln_b)
-                        if u[ui] < p:
-                            c[lane] = cc + amount
-                        ui += 1
-
-        @njit(cache=False)
-        def nb_anls_tail(thresholds, lengths, n, volume, c0):
-            c = np.float64(c0)
-            if volume:
-                for k in range(n):
-                    if c < thresholds[k]:
-                        c += np.float64(np.int64(lengths[k]))
-            else:
-                for k in range(n):
-                    if c < thresholds[k]:
-                        c += 1.0
-            return np.int64(c)
-
-        # Warmup probe: compile and verify against known answers.
-        lengths = np.array([2.0, 3.0], dtype=np.float64)
-        offsets = np.array([0, 2], dtype=np.int64)
-        sizes = np.array([2], dtype=np.int64)
-        totals = np.zeros(1, dtype=np.int64)
-        nb_exact(lengths, offsets, sizes, 1, 1, True, totals)
-        if int(totals[0]) != 5:
-            return None
-        c = np.zeros(1, dtype=np.int64)
-        nb_anls_columns(lengths, offsets, np.array([1, 1], dtype=np.int64),
-                        2, 1, True,
-                        np.array([0.0, 0.99], dtype=np.float64),
-                        np.array([1.0, 0.5, 0.25], dtype=np.float64),
-                        math.log(2.0), c)
-        if int(c[0]) != 2:  # first draw samples (p=1), second misses
-            return None
-        got = nb_anls_tail(np.array([1.5, 0.2], dtype=np.float64),
-                           lengths, 2, False, 0)
-        if int(got) != 1:
-            return None
-    except Exception:
-        return None
-    return {"exact": nb_exact, "anls_columns": nb_anls_columns,
-            "anls_tail": nb_anls_tail}
-
-
 def _probe() -> None:
-    global _probed, _cc, _numba
+    global _probed, _cc
     if _probed:
         return
     with _lock:
         if _probed:
             return
-        if disabled():
-            _cc = None
-            _numba = None
-        else:
-            _numba = _build_numba()
-            _cc = _compile_cc()
+        _cc = None if disabled() else _compile_cc()
         _probed = True
 
 
 def available() -> bool:
-    """Whether any native provider passed its warmup probe.
+    """Whether the C provider passed its warmup probe.
 
-    First call triggers the probe (numba import + njit warmup, C
-    compile); later calls are a cached flag read.  Callers that care
+    First call triggers the probe (C compile and self-check); later
+    calls are a cached flag read.  Callers that care
     about compile time keeping out of throughput numbers should probe
     inside a ``replay.native.warmup`` telemetry span — the batch driver
     does.
     """
     _probe()
-    return _cc is not None or _numba is not None
+    return _cc is not None
 
 
 def provider_name() -> str:
-    """``"numba+cc"``, ``"numba"``, ``"cc"`` or ``"none"`` (post-probe)."""
+    """``"cc"`` or ``"none"`` (post-probe)."""
     _probe()
-    parts = []
-    if _numba is not None:
-        parts.append("numba")
-    if _cc is not None:
-        parts.append("cc")
-    return "+".join(parts) if parts else "none"
+    return "cc" if _cc is not None else "none"
 
 
 def reset() -> None:
     """Forget probe results and the warn-once flag (test hook)."""
-    global _probed, _cc, _numba, _warned
+    global _probed, _cc, _warned
     with _lock:
         _probed = False
         _cc = None
-        _numba = None
         _warned = False
 
 
@@ -876,7 +769,7 @@ def warn_fallback(context: str) -> None:
         _warned = True
     warnings.warn(
         f"engine='native' is unavailable ({context}); falling back to the "
-        f"vector engine. Install numba or a C toolchain (gcc) to enable "
+        f"vector engine. Install a C toolchain (gcc) to enable "
         f"it, or unset {DISABLE_ENV} if it was masked.",
         RuntimeWarning, stacklevel=3)
 
@@ -946,29 +839,24 @@ class NativeStats:
 # ---------------------------------------------------------------------------
 #
 # Each builder returns ``run(compiled, mode, min_lanes) -> NativeStats``
-# operating in place on the kernel's state arrays, or ``None`` when no
-# provider covers this kernel (the driver then silently uses the vector
-# columnar path, which is the same law).
+# operating in place on the kernel's state arrays, or ``None`` when the
+# C provider is unavailable or does not cover this kernel (the driver
+# then silently uses the vector columnar path, which is the same law).
 
 def exact_runner(kernel):
     _probe()
-    nb = _numba
     cc = _cc
-    if nb is None and cc is None:
+    if cc is None:
         return None
 
     def run(compiled, mode: str, min_lanes: int) -> NativeStats:
         volume = 1 if mode == "volume" else 0
         nflows = compiled.num_flows
         R = kernel.replicas
-        if nb is not None:
-            nb["exact"](compiled.lengths, compiled.offsets, compiled.sizes,
-                        nflows, R, bool(volume), kernel.totals)
-        else:
-            cc.repro_exact(_p(compiled.lengths), _p(compiled.offsets),
-                           _p(compiled.sizes), ctypes.c_int64(nflows),
-                           ctypes.c_int64(R), ctypes.c_int64(volume),
-                           _p(kernel.totals))
+        cc.repro_exact(_p(compiled.lengths), _p(compiled.offsets),
+                       _p(compiled.sizes), ctypes.c_int64(nflows),
+                       ctypes.c_int64(R), ctypes.c_int64(volume),
+                       _p(kernel.totals))
         return NativeStats(0, 0, 0)
 
     return run
@@ -985,9 +873,8 @@ def anls_runner(kernel):
     compare-and-add loop to machine code.
     """
     _probe()
-    nb = _numba
     cc = _cc
-    if nb is None and cc is None:
+    if cc is None:
         return None
 
     def run(compiled, mode: str, min_lanes: int) -> NativeStats:
@@ -1000,17 +887,12 @@ def anls_runner(kernel):
         actives, columns, t_end = _geometry(compiled, R, min_lanes)
         total = int(actives[:t_end].sum()) * R
         u = gen.random(total)
-        if nb is not None:
-            nb["anls_columns"](compiled.lengths, compiled.offsets, actives,
-                               t_end, R, bool(volume), u, ptab, ln_b,
-                               kernel.c)
-        else:
-            cc.repro_anls_columns(
-                _p(compiled.lengths), _p(compiled.offsets), _p(actives),
-                ctypes.c_int64(t_end), ctypes.c_int64(R),
-                ctypes.c_int64(volume), _p(u), _p(ptab),
-                ctypes.c_int64(len(ptab)), ctypes.c_double(ln_b),
-                _p(kernel.c))
+        cc.repro_anls_columns(
+            _p(compiled.lengths), _p(compiled.offsets), _p(actives),
+            ctypes.c_int64(t_end), ctypes.c_int64(R),
+            ctypes.c_int64(volume), _p(u), _p(ptab),
+            ctypes.c_int64(len(ptab)), ctypes.c_double(ln_b),
+            _p(kernel.c))
         tail_packets = tail_flows = 0
         start = time.perf_counter()
         if t_end < columns:
@@ -1035,15 +917,10 @@ def anls_runner(kernel):
                     with np.errstate(divide="ignore"):
                         th = -np.log(gen.random(n)) / ln_b
                     lane = i * R + r
-                    if nb is not None:
-                        kernel.c[lane] = nb["anls_tail"](
-                            th, lens if lens is not None else th, n,
-                            bool(volume), int(kernel.c[lane]))
-                    else:
-                        cc.repro_anls_tail(
-                            _p(th), _p(lens if lens is not None else th),
-                            ctypes.c_int64(n), ctypes.c_int64(volume),
-                            _p(kernel.c[lane:lane + 1]))
+                    cc.repro_anls_tail(
+                        _p(th), _p(lens if lens is not None else th),
+                        ctypes.c_int64(n), ctypes.c_int64(volume),
+                        _p(kernel.c[lane:lane + 1]))
                 tail_packets += n
                 tail_flows += 1
         return NativeStats(t_end, tail_packets, tail_flows,

@@ -24,11 +24,11 @@ Four engines drive the same replay contract:
     The vector engine's law with its per-kernel inner loops lowered to
     compiled code (:mod:`repro.core.native`): the same CSR-compiled
     trace arrays and, where the kernel pre-draws explicit uniforms, the
-    same random stream, consumed by gcc/ctypes (or Numba) machine code.
+    same random stream, consumed by gcc-built C through ctypes.
     Bit-identical to ``"vector"`` for exact counters and the ANLS
     family's uniform-stream kernels; distributionally equivalent
     elsewhere.  Falls back to ``"vector"`` with a one-time warning when
-    no native provider is available (or ``REPRO_DISABLE_NATIVE=1``).
+    the C provider is unavailable (or ``REPRO_DISABLE_NATIVE=1``).
 ``"auto"``
     For schemes whose kernel is provably *bit-identical* to the reference
     loop (deterministic kernels such as exact counters), ``"native"``

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import asyncio
 import math
+from itertools import islice
 from typing import AsyncIterator, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ParameterError
+from repro.streaming import pair_batches
 from repro.traces.compiled import CompiledTrace, compile_trace
 from repro.traces.trace import Trace
 
@@ -83,11 +85,11 @@ class TraceFeed(Feed):
 class GeneratorFeed(Feed):
     """Batch an iterable of ``(flow, length)`` pairs into chunks.
 
-    Mirrors :meth:`StreamSession.extend
-    <repro.streaming.StreamSession.extend>`'s batching — per-flow
-    length lists aggregated until ``chunk_packets`` packets accumulate —
-    so a generator feed and a direct ``extend()`` of the same pairs
-    produce identical chunk schedules.  Resume replays deterministically
+    Batches through the same function as :meth:`StreamSession.extend
+    <repro.streaming.StreamSession.extend>` — per-flow length arrays
+    aggregated until ``chunk_packets`` packets accumulate — so a
+    generator feed and a direct ``extend()`` of the same pairs produce
+    identical chunk schedules.  Resume replays deterministically
     *iff* the underlying iterable does (a seeded generator yes, a live
     capture no), so ``deterministic_resume`` is an explicit flag.
     """
@@ -101,29 +103,9 @@ class GeneratorFeed(Feed):
 
     async def batches(self, chunk_packets: int,
                       start: int = 0) -> AsyncIterator[Batch]:
-        batch_keys: List[Hashable] = []
-        batch_map = {}
-        count = 0
-        skip = start
-        for key, length in self._pairs:
-            if skip > 0:
-                skip -= 1
-                continue
-            lens = batch_map.get(key)
-            if lens is None:
-                batch_map[key] = lens = []
-                batch_keys.append(key)
-            lens.append(float(length))
-            count += 1
-            if count >= chunk_packets:
-                yield (batch_keys,
-                       [np.asarray(batch_map[k], dtype=np.float64)
-                        for k in batch_keys])
-                batch_keys, batch_map, count = [], {}, 0
-        if count:
-            yield (batch_keys,
-                   [np.asarray(batch_map[k], dtype=np.float64)
-                    for k in batch_keys])
+        for batch in pair_batches(islice(self._pairs, start, None),
+                                  chunk_packets):
+            yield batch
 
 
 class SocketFeed(Feed):

@@ -79,8 +79,9 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Union
+from itertools import accumulate, chain, islice, repeat
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
+                    Optional, Tuple, Union)
 
 import numpy as np
 
@@ -259,6 +260,47 @@ class StreamResult:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+def pair_batches(pairs: Iterable[Tuple[Hashable, float]],
+                 chunk_packets: int
+                 ) -> Iterator[Tuple[List[Hashable], List[np.ndarray]]]:
+    """Batch ``(flow, length)`` pairs into chunks of ``chunk_packets``.
+
+    Each chunk is ``(keys, length_arrays)`` — keys in first-seen order,
+    each with a float64 array of its lengths in arrival order — the shape
+    :meth:`StreamSession.ingest_chunk` takes.  Every chunk is full except
+    possibly the last.  :meth:`StreamSession.extend` and
+    :class:`repro.serve.feeds.GeneratorFeed` both batch through here, so
+    the same pairs give the same chunk schedule on either path.
+    """
+    lengths: Dict[Hashable, List[float]] = {}
+    count = 0
+    for key, length in pairs:
+        lens = lengths.get(key)
+        if lens is None:
+            lengths[key] = lens = []
+        lens.append(float(length))
+        count += 1
+        if count >= chunk_packets:
+            yield _length_columns(lengths, count)
+            lengths, count = {}, 0
+    if count:
+        yield _length_columns(lengths, count)
+
+
+def _length_columns(lengths: Dict[Hashable, List[float]], count: int
+                    ) -> Tuple[List[Hashable], List[np.ndarray]]:
+    """One chunk's per-key length arrays, as views of one float64 column.
+
+    The column is built in one pass over all the lists, so a chunk with
+    many keys pays one conversion, not one per key.
+    """
+    column = np.fromiter(chain.from_iterable(lengths.values()),
+                         dtype=np.float64, count=count)
+    ends = list(accumulate(map(len, lengths.values())))
+    return list(lengths), [column[begin:end]
+                           for begin, end in zip([0] + ends, ends)]
+
 
 def _readout(spec, state: KernelState) -> Tuple[np.ndarray, np.ndarray]:
     """Decode a shard state: estimates and raw counters, in ``index`` order.
@@ -482,27 +524,15 @@ class StreamSession:
         """Consume an iterable of ``(flow, length)`` pairs, chunking internally.
 
         The generic path for live feeds and generators — e.g.
-        :meth:`Trace.packet_chunks <repro.traces.trace.Trace
-        .packet_chunks>` batches, or pairs straight off a capture loop.
+        :meth:`Trace.packet_pairs <repro.traces.trace.Trace.packet_pairs>`,
+        or pairs straight off a capture loop.
         """
-        batch_keys: List[Hashable] = []
-        batch_map: Dict[Hashable, List[float]] = {}
-        count = 0
-        for key, length in pairs:
-            if self._resume_skip > 0:
-                self._resume_skip -= 1
-                continue
-            lens = batch_map.get(key)
-            if lens is None:
-                batch_map[key] = lens = []
-                batch_keys.append(key)
-            lens.append(float(length))
-            count += 1
-            if count >= self.chunk_packets:
-                self._ingest(batch_keys, [batch_map[k] for k in batch_keys])
-                batch_keys, batch_map, count = [], {}, 0
-        if count:
-            self._ingest(batch_keys, [batch_map[k] for k in batch_keys])
+        pairs = iter(pairs)
+        if self._resume_skip > 0:
+            self._resume_skip -= sum(1 for _ in islice(pairs,
+                                                       self._resume_skip))
+        for keys, length_arrays in pair_batches(pairs, self.chunk_packets):
+            self._ingest(keys, length_arrays)
 
     def ingest_chunk(self, keys: List[Hashable],
                      length_arrays: List[np.ndarray]) -> None:

@@ -145,29 +145,6 @@ class Trace:
         for packet in self.packets(order=order, rng=rng):
             yield packet.flow, packet.length
 
-    def packet_chunks(
-        self, chunk_packets: int, order: str = "asis",
-        rng: Union[None, int, random.Random] = None,
-    ) -> Iterator[List[Tuple[FlowKey, int]]]:
-        """Yield ``(flow, length)`` pairs in lists of ``chunk_packets``.
-
-        The incremental-consumption shape :meth:`StreamSession.extend
-        <repro.streaming.StreamSession.extend>` wants: the whole trace
-        never needs to materialise as one packet list.  Every chunk is
-        full except possibly the last.
-        """
-        if chunk_packets < 1:
-            raise ParameterError(
-                f"chunk_packets must be >= 1, got {chunk_packets!r}")
-        batch: List[Tuple[FlowKey, int]] = []
-        for pair in self.packet_pairs(order=order, rng=rng):
-            batch.append(pair)
-            if len(batch) >= chunk_packets:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
     # -- statistics ----------------------------------------------------------
 
     def length_variance(self, flow: FlowKey) -> float:

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from repro.apps.anomaly import ChangeDetector
-from repro.apps.epochs import EpochManager
-from repro.core.disco import DiscoSketch
 from repro.errors import ParameterError
+from repro.schemes import scheme_factory
+from repro.streaming import StreamSession
 
 
 class TestConstruction:
@@ -59,23 +59,26 @@ class TestEndToEnd:
     def test_detects_real_shift_ignores_noise(self):
         b = 1.01
         rand = random.Random(5)
-        manager = EpochManager(
-            lambda: DiscoSketch(b=b, mode="volume", rng=rand.randrange(1 << 30)),
-            epoch_packets=4000,
-        )
         # Epoch 0: steady flows. Epoch 1: flow "surge" grows 10x.
+        pairs = []
         for epoch in range(2):
             for _ in range(4000):
                 flow = rand.randrange(8)
                 if epoch == 1 and flow == 0:
-                    manager.observe("surge", 1500)
+                    pairs.append(("surge", 1500))
                 else:
-                    manager.observe(f"steady{flow}", rand.randint(200, 400))
-        first, second = manager.records[0], manager.records[1]
+                    pairs.append((f"steady{flow}", rand.randint(200, 400)))
+        session = StreamSession(scheme_factory("disco", b=b, mode="volume"),
+                                shards=2, epoch_packets=4000,
+                                chunk_packets=500, rng=5)
+        session.extend(pairs)
+        first, second = session.snapshots
+        assert (first.packets, second.packets) == (4000, 4000)
         detector = ChangeDetector(b=b, level=0.99, min_change=5000.0)
         changes = detector.compare_records(first, second)
         flows = {c.flow for c in changes}
-        assert "surge" in flows
+        # steady0's share of the packets goes to the surge in epoch 1, so
+        # both are real changes.
+        assert {"surge", "steady0"} <= flows
         # Steady flows (same rate both epochs) stay quiet.
-        noisy_steady = [f for f in flows if str(f).startswith("steady")]
-        assert len(noisy_steady) <= 2
+        assert len(flows - {"surge", "steady0"}) <= 1

@@ -1,102 +1,16 @@
-"""Tests for measurement epochs and usage accounting."""
+"""Tests for usage accounting.
 
-import itertools
+Measurement epochs are :class:`repro.streaming.StreamSession`'s
+(``tests/test_stream.py``).
+"""
+
 import random
 
 import pytest
 
 from repro.apps.billing import UsageAccountant
-from repro.apps.epochs import EpochManager, EpochRecord, epoch_delta
 from repro.core.disco import DiscoSketch
-from repro.counters.exact import ExactCounters
 from repro.errors import ParameterError
-
-
-class TestEpochManager:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            EpochManager(lambda: ExactCounters(), epoch_packets=0)
-        with pytest.raises(ParameterError):
-            EpochManager(lambda: ExactCounters(), epoch_packets=10, history=0)
-
-    def test_rotation_on_boundary(self):
-        manager = EpochManager(lambda: ExactCounters(mode="volume"),
-                               epoch_packets=5)
-        records = []
-        for i in range(12):
-            record = manager.observe("f", 100)
-            if record:
-                records.append(record)
-        assert len(records) == 2
-        assert records[0].index == 0 and records[1].index == 1
-        assert all(r.packets == 5 for r in records)
-        assert records[0].estimates == {"f": 500.0}
-        # Two packets remain in the open epoch.
-        assert manager.current_epoch == 2
-
-    def test_manual_rotate(self):
-        manager = EpochManager(lambda: ExactCounters(mode="size"),
-                               epoch_packets=1000)
-        manager.observe("a", 1)
-        record = manager.rotate()
-        assert record.packets == 1
-        assert record.flows == 1
-        assert manager.sketch.estimate("a") == 0.0  # fresh sketch
-
-    def test_history_bounded(self):
-        manager = EpochManager(lambda: ExactCounters(), epoch_packets=1,
-                               history=3)
-        for i in range(10):
-            manager.observe(i, 100)
-        assert len(manager.records) == 3
-        assert manager.records[-1].index == 9
-
-    def test_fresh_randomness_per_epoch(self):
-        seeds = itertools.count()
-        manager = EpochManager(
-            lambda: DiscoSketch(b=1.05, mode="volume", rng=next(seeds)),
-            epoch_packets=3,
-        )
-        for _ in range(6):
-            manager.observe("f", 1000)
-        assert len(manager.records) == 2
-
-    def test_flush_called_for_burst_sketches(self):
-        manager = EpochManager(
-            lambda: DiscoSketch(b=1.02, mode="volume", rng=0,
-                                burst_capacity=1e9),
-            epoch_packets=4,
-        )
-        record = None
-        for _ in range(4):
-            record = manager.observe("f", 500) or record
-        assert record is not None
-        assert record.estimates["f"] > 0  # burst was flushed before export
-
-
-class TestEpochDelta:
-    def _record(self, index, estimates):
-        return EpochRecord(index=index, packets=sum(1 for _ in estimates),
-                           estimates=estimates)
-
-    def test_growth_and_shrink(self):
-        before = self._record(0, {"a": 100.0, "b": 500.0})
-        after = self._record(1, {"a": 300.0, "c": 50.0})
-        deltas = epoch_delta(before, after)
-        assert deltas["a"] == pytest.approx(200.0)
-        assert deltas["b"] == pytest.approx(-500.0)
-        assert deltas["c"] == pytest.approx(50.0)
-
-    def test_min_change_filters(self):
-        before = self._record(0, {"a": 100.0, "b": 100.0})
-        after = self._record(1, {"a": 104.0, "b": 400.0})
-        deltas = epoch_delta(before, after, min_change=50.0)
-        assert "a" not in deltas and "b" in deltas
-
-    def test_validation(self):
-        r = self._record(0, {})
-        with pytest.raises(ParameterError):
-            epoch_delta(r, r, min_change=-1)
 
 
 class TestUsageAccountant:

@@ -9,7 +9,7 @@ Three groups, mirroring the backend's contract:
   data-dependent number of uniforms (DISCO, SAC, ANLS-II, SD, ICE)
   follow the same law on a different stream; their error statistics
   must agree with the vector engine's.
-* **Fallback** — without any provider (no Numba, no C compiler, or
+* **Fallback** — without the C provider (no C compiler, or
   ``REPRO_DISABLE_NATIVE=1``) the backend must warn once, run the
   vector path, and produce identical results; ``engine="auto"`` must
   prefer native only when the probe succeeded.
@@ -44,7 +44,7 @@ B = 1.02
 
 needs_native = pytest.mark.skipif(
     not native.available(),
-    reason="no native backend (no numba, no C compiler, or disabled)")
+    reason="no native backend (no C compiler, or disabled)")
 
 
 @pytest.fixture(scope="module")
@@ -396,11 +396,7 @@ class TestFallback:
 
     @pytest.fixture()
     def no_backend(self, clean_probe, monkeypatch):
-        """Mask every provider: numba import fails, C compile fails."""
-        def boom():
-            raise ImportError("numba is not installed")
-
-        monkeypatch.setattr(native, "_load_numba", boom)
+        """Mask the provider: the C compile fails."""
         monkeypatch.setattr(native, "_compile_cc", lambda: None)
 
     def test_disable_env_masks_backend(self, clean_probe, monkeypatch):

@@ -1,20 +1,21 @@
 """End-to-end integration: a full monitoring pipeline across subsystems.
 
 Trace generation -> hardware-constrained DISCO sketch -> on-line heavy
-hitters -> per-account billing with confidence bands -> epoch rotation.
-Every subsystem is the real implementation; the assertions are the
+hitters -> per-account billing with confidence bands -> epoch rotation
+(:class:`~repro.streaming.StreamSession`).  Every subsystem is the real implementation; the assertions are the
 operational guarantees a deployment would rely on.
 """
 
 import pytest
 
 from repro.apps.billing import UsageAccountant
-from repro.apps.epochs import EpochManager
 from repro.apps.heavyhitters import HeavyHitterDetector, top_k
 from repro.core.analysis import choose_b, cov_bound
 from repro.core.confidence import confidence_interval
 from repro.core.disco import DiscoSketch
 from repro.counters.hardware import HardwareDiscoSketch
+from repro.schemes import scheme_factory
+from repro.streaming import StreamSession
 from repro.traces.nlanr import nlanr_like
 
 
@@ -97,17 +98,16 @@ class TestApplicationsOnOneSketch:
         )
 
     def test_epoch_rotation_over_trace(self, trace):
-        b = 1.01
         packets = list(trace.packet_pairs(rng=9))
-        manager = EpochManager(
-            lambda: DiscoSketch(b=b, mode="volume", rng=10),
-            epoch_packets=max(1, len(packets) // 4),
-        )
-        for flow, length in packets:
-            manager.observe(flow, length)
-        assert len(manager.records) >= 4
-        # Epoch totals sum (plus the open epoch) to roughly the trace total.
-        closed = sum(r.total for r in manager.records)
-        open_epoch = sum(manager.sketch.estimates().values())
+        epoch = max(1, len(packets) // 4)
+        session = StreamSession(
+            scheme_factory("disco", b=1.01, mode="volume"),
+            epoch_packets=epoch, chunk_packets=max(1, epoch // 8), rng=10)
+        session.extend(packets)
+        result = session.finish()
+        assert result.epochs >= 4
+        # Epoch totals sum to roughly the trace total.
+        closed = sum(sum(snap.estimates_dict().values())
+                     for snap in result.snapshots)
         truth_total = sum(trace.true_totals("volume").values())
-        assert closed + open_epoch == pytest.approx(truth_total, rel=0.05)
+        assert closed == pytest.approx(truth_total, rel=0.05)

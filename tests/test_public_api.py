@@ -69,7 +69,6 @@ MODULES = [
     "repro.apps.anomaly",
     "repro.apps.heavyhitters",
     "repro.apps.billing",
-    "repro.apps.epochs",
     "repro.apps.distribution",
     "repro.export.records",
     "repro.export.collector",

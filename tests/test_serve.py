@@ -109,6 +109,31 @@ class TestFeeds:
             assert all((a == b).all()
                        for a, b in zip(arrays_a, arrays_b))
 
+    @pytest.mark.parametrize("start", [0, 8, 13])
+    def test_generator_feed_and_extend_share_chunk_schedule(
+            self, trace, tmp_path, start):
+        # A session restored after ``start`` packets skips them in
+        # extend(); the feed skips them through start=.  Both must then
+        # cut the same chunks.
+        pairs = list(trace.packet_pairs(rng=5))[:200]
+        path = str(tmp_path / "ckpt")
+        first = StreamSession(_factory(), chunk_packets=16, rng=3,
+                              checkpoint_path=path)
+        first.extend(pairs[:start])
+        session = StreamSession.restore(path) if start else first
+        ingested = []
+        session._ingest = lambda keys, arrays: ingested.append(
+            (keys, arrays))
+        session.extend(pairs)
+        batches = _collect(GeneratorFeed(pairs), 16, start=start)
+        assert len(batches) == len(ingested) == -(-(200 - start) // 16)
+        for (keys_a, arrays_a), (keys_b, arrays_b) in zip(batches,
+                                                          ingested):
+            assert keys_a == keys_b
+            for a, b in zip(arrays_a, arrays_b):
+                assert a.dtype == b.dtype == np.float64
+                assert np.array_equal(a, b)
+
     def test_trace_feed_resume_replays_chunk_schedule(self, compiled):
         feed = TraceFeed(compiled)
         assert feed.deterministic_resume
@@ -286,6 +311,18 @@ class TestQuerySurface:
         daemon = build_daemon(_factory(), TraceFeed(compiled), **config)
         with DaemonHandle(daemon) as handle:
             _wait_ingested(handle.client, compiled.num_packets)
+        assert handle.error is None
+        assert handle.result.estimates_dict() == offline.estimates_dict()
+        assert handle.result.epochs == offline.epochs
+
+    def test_generator_daemon_matches_offline_stream(self, trace,
+                                                     compiled):
+        pairs = list(trace.packet_pairs(rng=7))
+        config = _config(compiled)
+        offline = stream(_factory(), pairs, **config)
+        daemon = build_daemon(_factory(), GeneratorFeed(pairs), **config)
+        with DaemonHandle(daemon) as handle:
+            _wait_ingested(handle.client, len(pairs))
         assert handle.error is None
         assert handle.result.estimates_dict() == offline.estimates_dict()
         assert handle.result.epochs == offline.epochs
