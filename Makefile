@@ -19,13 +19,13 @@ lint:
 	fi
 
 test:
-	$(PYTHON) -m pytest tests/ -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
 
 # Same suite with the compiled native backend masked: proves every
 # engine="native" / engine="auto" caller degrades cleanly to the vector
 # path on machines without a C compiler.
 test-nonative:
-	REPRO_DISABLE_NATIVE=1 $(PYTHON) -m pytest tests/ -q
+	PYTHONPATH=src REPRO_DISABLE_NATIVE=1 $(PYTHON) -m pytest tests/ -q
 
 # Fault-injection audit: the seeded fault-schedule suite and the
 # exactly-once telemetry regression, then the CLI invariant audit

@@ -757,6 +757,43 @@ def measure_pair_batching() -> Dict[str, float]:
     return out
 
 
+#: Interleaved Trace/CompiledTrace replay pairs (after one warm-up pair)
+#: the medians of :func:`measure_trace_overhead` are taken over.
+TRACE_OVERHEAD_PAIRS = 7
+
+
+def measure_trace_overhead(trace=None,
+                           pairs: int = TRACE_OVERHEAD_PAIRS
+                           ) -> Dict[str, float]:
+    """Per-call cost of replaying a ``Trace`` rather than its compilation.
+
+    :func:`measure` replays the compiled gate trace, so work that
+    ``replay()`` does to find a :class:`~repro.traces.trace.Trace`'s
+    compilation never shows there.  This times ``replay(engine=
+    "vector")`` on the gate trace and on its ``CompiledTrace``,
+    interleaved, after one warm-up pair that compiles.  Returns the
+    difference of the two medians as ``replay_trace_overhead_ms`` —
+    history only, never gated.
+    """
+    from repro.core.disco import DiscoSketch
+    from repro.facade import replay
+    from repro.traces.compiled import compile_trace
+
+    if trace is None:
+        trace = build_trace()
+    sources = (trace, compile_trace(trace))
+    samples = ([], [])
+    for seed in range(pairs + 1):
+        for side, source in enumerate(sources):
+            sketch = DiscoSketch(b=DISCO_B, mode="volume", rng=seed)
+            start = time.perf_counter()
+            replay(sketch, source, order="asis", engine="vector")
+            if seed:  # seed 0 is the warm-up pair
+                samples[side].append(time.perf_counter() - start)
+    overhead = statistics.median(samples[0]) - statistics.median(samples[1])
+    return {"replay_trace_overhead_ms": round(overhead * 1e3, 3)}
+
+
 def append_history(metrics: Dict[str, float],
                    path: Path = HISTORY_PATH,
                    limit: int = HISTORY_LIMIT,
@@ -963,6 +1000,11 @@ def main(argv=None) -> int:
     print(f"pair batching ({BATCH_PAIRS} pairs over {BATCH_FLOWS} flows): "
           f"extend() {telemetry['extend_pairs_ms']:.1f} ms, "
           f"GeneratorFeed {telemetry['generator_feed_ms']:.1f} ms "
+          f"(history only, not gated)")
+
+    telemetry.update(measure_trace_overhead())
+    print(f"replay() on a Trace vs its CompiledTrace: "
+          f"{telemetry['replay_trace_overhead_ms']:+.3f} ms per call "
           f"(history only, not gated)")
 
     if not args.no_history:

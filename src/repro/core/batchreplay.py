@@ -124,11 +124,12 @@ class BatchReplayResult:
 
     def estimates_dict(self):
         """Estimates keyed by original flow key."""
-        return {k: float(e) for k, e in zip(self.compiled.keys, self.estimates)}
+        return dict(zip(self.compiled.keys, self.estimates.tolist()))
 
     def counters_dict(self):
         """Final integer counters keyed by original flow key."""
-        return {k: int(c) for k, c in zip(self.compiled.keys, self.counters)}
+        return dict(zip(self.compiled.keys,
+                        self.counters.astype(np.int64, copy=False).tolist()))
 
     def to_json(self):
         """JSON-serialisable summary (:class:`repro.results.MeasurementResult`)."""
@@ -176,8 +177,7 @@ class ReplicaReplayResult:
 
     def estimates_dict(self, replica: int = 0):
         """One replica's estimates keyed by original flow key."""
-        return {k: float(e)
-                for k, e in zip(self.compiled.keys, self.estimates[replica])}
+        return dict(zip(self.compiled.keys, self.estimates[replica].tolist()))
 
     def mean_estimates(self) -> np.ndarray:
         """Per-flow estimate averaged over replicas — (F,)."""

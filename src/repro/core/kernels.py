@@ -555,7 +555,7 @@ class DiscoKernel(SchemeKernel):
         from repro.core.disco import DiscoSketch
 
         final = self._replica0(self.state.counters[: self.lanes])
-        scheme._counters = {k: int(c) for k, c in zip(keys, final)}
+        scheme._counters = dict(zip(keys, final.tolist()))
         if isinstance(scheme, DiscoSketch):
             scheme.packets_observed += packets
             scheme.saturation_events += self.saturation_events
@@ -808,8 +808,7 @@ class SacKernel(SchemeKernel):
     def writeback(self, scheme, keys: List, packets: int) -> None:
         a = self._replica0(self.a[: self.lanes])
         m = self._replica0(self.m[: self.lanes])
-        scheme._state = {k: (int(ai), int(mi))
-                         for k, ai, mi in zip(keys, a, m)}
+        scheme._state = dict(zip(keys, zip(a.tolist(), m.tolist())))
         scheme.r = int(self.r[0])
         scheme.global_renormalizations += self.global_renormalizations
         scheme.counter_renormalizations += self.counter_renormalizations
@@ -901,7 +900,7 @@ class AnlsKernel(SchemeKernel):
 
     def writeback(self, scheme, keys: List, packets: int) -> None:
         final = self._replica0(self.c[: self.lanes])
-        scheme._state = {k: int(c) for k, c in zip(keys, final)}
+        scheme._state = dict(zip(keys, final.tolist()))
         scheme.packets_observed += packets
 
 
@@ -1158,8 +1157,8 @@ class SdKernel(SchemeKernel):
     def writeback(self, scheme, keys: List, packets: int) -> None:
         sram = self._replica0(self.sram[: self.lanes])
         dram = self._replica0(self.dram[: self.lanes])
-        scheme._state = {k: int(s) for k, s in zip(keys, sram)}
-        scheme._dram = {k: int(d) for k, d in zip(keys, dram)}
+        scheme._state = dict(zip(keys, sram.tolist()))
+        scheme._dram = dict(zip(keys, dram.tolist()))
         scheme._updates_since_flush = int(self._carry[0])
         scheme.flushes += self.flushes
         scheme.bus_bits_transferred += self.bus_bits_transferred
@@ -1240,7 +1239,7 @@ class ExactKernel(SchemeKernel):
 
     def writeback(self, scheme, keys: List, packets: int) -> None:
         final = self._replica0(self.totals[: self.lanes])
-        scheme._state = {k: int(t) for k, t in zip(keys, final)}
+        scheme._state = dict(zip(keys, final.tolist()))
         scheme.packets_observed += packets
 
 
@@ -1336,7 +1335,7 @@ class AeeKernel(SchemeKernel):
 
     def writeback(self, scheme, keys: List, packets: int) -> None:
         final = self._replica0(self.c[: self.lanes])
-        scheme._state = {k: int(c) for k, c in zip(keys, final)}
+        scheme._state = dict(zip(keys, final.tolist()))
         scheme.saturation_events += self.saturation_events
         scheme.packets_observed += packets
 
@@ -1537,14 +1536,13 @@ class IceKernel(SchemeKernel):
         final_c = self._replica0(self.c[: self.lanes])
         final_s = self._replica0(self.s[: self.lanes])
         bf = self.bucket_flows
-        scheme._state = {k: int(c) for k, c in zip(keys, final_c)}
+        scheme._state = dict(zip(keys, final_c.tolist()))
         scheme._bucket_of = {k: i // bf for i, k in enumerate(keys)}
         members: Dict[int, List] = {}
         for i, k in enumerate(keys):
             members.setdefault(i // bf, []).append(k)
         scheme._members = members
-        scheme._scale = {b: int(final_s[b * bf])
-                         for b in range((len(keys) + bf - 1) // bf)}
+        scheme._scale = dict(enumerate(final_s[::bf].tolist()))
         scheme.bucket_upscales += self.bucket_upscales
         scheme.packets_observed += packets
 

@@ -251,12 +251,12 @@ def _replay_vector(
 
     errors_arr = relative_errors_array(result.estimates, result.truths)
     estimates = result.estimates_dict()
-    truths = {k: int(t) for k, t in zip(result.keys, result.truths)}
+    truths = dict(zip(result.keys, result.truths.tolist()))
     return RunResult(
         scheme_name=getattr(scheme, "name", type(scheme).__name__),
         trace_name=trace.name,
         mode=spec.mode,
-        errors=[float(e) for e in errors_arr],
+        errors=errors_arr.tolist(),
         summary=summarize_errors_array(errors_arr),
         estimates=estimates,
         truths=truths,
@@ -351,7 +351,7 @@ def replay_replicas(
         snap = tel.snapshot()
         session.merge(snap)
 
-    truths = {k: int(t) for k, t in zip(first.keys, first.truths)}
+    truths = dict(zip(first.keys, first.truths.tolist()))
     scheme_name = getattr(scheme, "name", type(scheme).__name__)
     max_bits = scheme.max_counter_bits()
     per_replica_elapsed = total_elapsed / replicas
@@ -362,10 +362,9 @@ def replay_replicas(
             scheme_name=scheme_name,
             trace_name=trace.name,
             mode=spec.mode,
-            errors=[float(e) for e in errors_arr],
+            errors=errors_arr.tolist(),
             summary=summarize_errors_array(errors_arr),
-            estimates={k: float(e)
-                       for k, e in zip(first.keys, all_estimates[r])},
+            estimates=dict(zip(first.keys, all_estimates[r].tolist())),
             truths=truths,
             max_counter_bits=max_bits,
             elapsed_seconds=per_replica_elapsed,

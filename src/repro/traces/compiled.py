@@ -1,27 +1,27 @@
 """Struct-of-arrays trace form for the array-native replay engine.
 
-A :class:`~repro.traces.trace.Trace` stores flows as Python lists, which
-is the right shape for per-packet ``observe()`` loops but the wrong shape
+A :class:`~repro.traces.trace.Trace` stores flows as tuples, which is
+the right shape for per-packet ``observe()`` loops but the wrong shape
 for vectorised replay: the batch engine wants every flow's packet lengths
 in one contiguous ``float64`` array with CSR-style offsets, flows ordered
 by descending packet budget so the still-active set at any replay column
 is a prefix.
 
 :func:`compile_trace` performs that conversion exactly once per trace
-*content*: the cache is keyed by a content fingerprint (name, flow keys
-and packet lengths), so repeated replays — the Figure 5-7 sweep replays
-one trace ten times — and :mod:`repro.harness.parallel` workers reuse
-the arrays, equal-content trace objects share one compilation, and a
-derived trace that happens to reuse a source's name (merged or
-renormalized workloads) can never be served the source's stale arrays.
-A :class:`CompiledTrace` also pickles as a handful of NumPy buffers
-rather than a dict of per-flow Python lists, which shrinks the
-process-pool transfer for full-scale traces by an order of magnitude.
+*object*.  A ``Trace`` cannot change after it is built, so the cache is
+keyed by identity and a hit costs one weak-dict lookup: repeated
+replays — the Figure 5-7 sweep replays one trace ten times — reuse the
+arrays without reading the packets again, and a derived trace (merged
+or renormalized, even under a source's name) is a new object that
+compiles on its own.  Entries die with their trace, and
+:func:`clear_compile_cache` drops them all.  A :class:`CompiledTrace`
+also pickles as a handful of NumPy buffers rather than a dict of
+per-flow tuples, which shrinks the process-pool transfer for full-scale
+traces by an order of magnitude.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 import weakref
 from typing import Dict, Iterator, List, Tuple, Union
@@ -33,7 +33,7 @@ from repro.flows.packet import FlowKey
 from repro.traces.trace import Trace
 
 __all__ = ["CompiledTrace", "TraceChunk", "compile_trace",
-           "clear_compile_cache", "trace_fingerprint"]
+           "clear_compile_cache"]
 
 
 class TraceChunk:
@@ -125,7 +125,7 @@ class CompiledTrace:
                    offsets=offsets, sizes=sizes, volumes=volumes)
 
     def to_trace(self) -> Trace:
-        """Rebuild a list-of-lists :class:`Trace` (compiled flow order)."""
+        """Rebuild a :class:`Trace` (compiled flow order)."""
         flows = {
             key: [int(l) for l in
                   self.lengths[self.offsets[i]:self.offsets[i + 1]]]
@@ -153,8 +153,7 @@ class CompiledTrace:
 
     def true_totals(self, mode: str) -> Dict[FlowKey, int]:
         """Per-flow ground truth, same contract as :meth:`Trace.true_totals`."""
-        totals = self.true_totals_array(mode)
-        return {key: int(t) for key, t in zip(self.keys, totals)}
+        return dict(zip(self.keys, self.true_totals_array(mode).tolist()))
 
     def true_totals_array(self, mode: str) -> np.ndarray:
         """Ground truth as an ``int64`` array aligned with ``keys``."""
@@ -265,44 +264,20 @@ class CompiledTrace:
                 f"packets={self.num_packets})")
 
 
-def trace_fingerprint(trace: Trace) -> bytes:
-    """Content fingerprint of a trace: name, flow keys, packet lengths.
-
-    Two traces fingerprint equal exactly when they would compile to the
-    same :class:`CompiledTrace` (same name, same flows in the same
-    insertion order, same packet lengths).  This is the compile-cache
-    key: identity-keyed caching served stale arrays whenever a derived
-    trace reused a source object or a source name with different
-    contents.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(trace.name.encode("utf-8", "surrogatepass"))
-    for flow, lengths in trace.flows.items():
-        digest.update(repr(flow).encode("utf-8", "surrogatepass"))
-        digest.update(np.asarray(lengths, dtype=np.float64).tobytes())
-    return digest.digest()
-
-
-#: Identity fast path: maps a live Trace to its (fingerprint, compiled)
-#: pair.  The fingerprint is re-derived on every hit, so in-place
-#: mutation of ``trace.flows`` forces a recompile instead of serving
-#: stale arrays.
-_COMPILE_CACHE: "weakref.WeakKeyDictionary[Trace, Tuple[bytes, CompiledTrace]]" = \
+#: Identity cache: a live Trace -> its compilation.  Traces are
+#: immutable, so an entry can never go stale; it dies with its trace.
+_COMPILE_CACHE: "weakref.WeakKeyDictionary[Trace, CompiledTrace]" = \
     weakref.WeakKeyDictionary()
-#: Content dedupe: equal-content Trace objects share one compilation.
-#: Values are weak so an unreferenced compilation can be collected.
-_FINGERPRINT_CACHE: "weakref.WeakValueDictionary[bytes, CompiledTrace]" = \
-    weakref.WeakValueDictionary()
 
 
 def compile_trace(trace: Union[Trace, CompiledTrace]) -> CompiledTrace:
     """Compile ``trace`` to struct-of-arrays form, reusing a cached result.
 
     Passing an already-compiled trace is a no-op, so callers can accept
-    either form.  The cache is keyed by :func:`trace_fingerprint`
-    (content, not object identity or name alone): equal-content traces
-    share one compilation, and a mutated or derived trace always
-    recompiles.
+    either form.  The cache is keyed by the :class:`Trace` object
+    itself: each trace compiles once, later calls return the same
+    :class:`CompiledTrace` without touching its packets, and two
+    equal-content traces compile separately.
     """
     if isinstance(trace, CompiledTrace):
         return trace
@@ -313,19 +288,12 @@ def compile_trace(trace: Union[Trace, CompiledTrace]) -> CompiledTrace:
         raise ParameterError(
             f"compile_trace needs a Trace or CompiledTrace, got "
             f"{type(trace).__name__}{hint}")
-    fingerprint = trace_fingerprint(trace)
-    entry = _COMPILE_CACHE.get(trace)
-    if entry is not None and entry[0] == fingerprint:
-        return entry[1]
-    compiled = _FINGERPRINT_CACHE.get(fingerprint)
+    compiled = _COMPILE_CACHE.get(trace)
     if compiled is None:
-        compiled = CompiledTrace.from_trace(trace)
-        _FINGERPRINT_CACHE[fingerprint] = compiled
-    _COMPILE_CACHE[trace] = (fingerprint, compiled)
+        compiled = _COMPILE_CACHE[trace] = CompiledTrace.from_trace(trace)
     return compiled
 
 
 def clear_compile_cache() -> None:
     """Drop all cached compilations (tests and memory-pressure hooks)."""
     _COMPILE_CACHE.clear()
-    _FINGERPRINT_CACHE.clear()

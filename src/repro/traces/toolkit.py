@@ -87,7 +87,7 @@ def merge_traces(traces: Sequence[Trace], namespace: bool = True,
     """
     if not traces:
         raise ParameterError("at least one trace is required")
-    flows: Dict[Hashable, List[int]] = {}
+    flows: Dict[Hashable, Tuple[int, ...]] = {}
     for index, trace in enumerate(traces):
         for flow, lengths in trace.flows.items():
             key: Hashable = f"{index}/{flow}" if namespace else flow
@@ -95,7 +95,7 @@ def merge_traces(traces: Sequence[Trace], namespace: bool = True,
                 raise ParameterError(
                     f"flow key collision on {key!r}; pass namespace=True"
                 )
-            flows[key] = list(lengths)
+            flows[key] = lengths
     return Trace(flows, name=name or "+".join(t.name for t in traces))
 
 
@@ -118,11 +118,11 @@ def renormalize(trace: Trace, target_pps: float,
         raise ParameterError(f"duration must be > 0, got {duration!r}")
     total = sum(len(lengths) for lengths in trace.flows.values())
     factor = max(1.0, target_pps * duration) / total
-    flows: Dict[Hashable, List[int]] = {}
+    flows: Dict[Hashable, Tuple[int, ...]] = {}
     for flow, lengths in trace.flows.items():
         keep = max(1, int(round(len(lengths) * factor)))
         repeats, remainder = divmod(keep, len(lengths))
-        flows[flow] = list(lengths) * repeats + list(lengths[:remainder])
+        flows[flow] = lengths * repeats + lengths[:remainder]
     return Trace(flows, name=f"{trace.name}@{target_pps:g}pps")
 
 

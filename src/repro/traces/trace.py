@@ -1,17 +1,19 @@
 """The in-memory trace representation used by every experiment.
 
-A :class:`Trace` is a mapping from flow ID to that flow's packet-length
-sequence, plus helpers for the statistics the paper reports about its
-traces (flow counts, average flow size/volume, intra-flow packet-length
-variance — the quantity Table III blames for ANLS-I's failure) and for
-replaying the packets in different arrival orders.
+A :class:`Trace` is an immutable mapping from flow ID to that flow's
+packet-length sequence, plus helpers for the statistics the paper
+reports about its traces (flow counts, average flow size/volume,
+intra-flow packet-length variance — the quantity Table III blames for
+ANLS-I's failure) and for replaying the packets in different arrival
+orders.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from repro.errors import ParameterError
 from repro.flows.packet import FlowKey, Packet
@@ -41,6 +43,13 @@ class TraceStats:
 class Trace:
     """A set of flows with their packet-length sequences.
 
+    A :class:`Trace` cannot be changed after it is built: :attr:`flows`
+    is a read-only view whose values are tuples, and :attr:`name` has no
+    setter.  To derive a different workload, build a new trace, e.g.
+    ``Trace({**trace.flows, key: lengths}, name=...)``.  That is what
+    lets :func:`~repro.traces.compiled.compile_trace` compile each trace
+    object once and find it again by identity.
+
     Parameters
     ----------
     flows:
@@ -49,40 +58,52 @@ class Trace:
         Label used in experiment reports.
     """
 
-    def __init__(self, flows: Dict[FlowKey, Sequence[int]], name: str = "trace") -> None:
+    def __init__(self, flows: Mapping[FlowKey, Sequence[int]], name: str = "trace") -> None:
         for flow, lengths in flows.items():
             if not lengths:
                 raise ParameterError(f"flow {flow!r} has no packets")
-        self.flows: Dict[FlowKey, List[int]] = {f: list(ls) for f, ls in flows.items()}
-        self.name = name
+        # The dict, not a proxy over it, is the state: a mappingproxy
+        # attribute would make the trace unpicklable.
+        self._flows: Dict[FlowKey, Tuple[int, ...]] = {
+            f: tuple(ls) for f, ls in flows.items()}
+        self._name = name
+
+    @property
+    def flows(self) -> Mapping[FlowKey, Tuple[int, ...]]:
+        """Read-only view: flow key -> tuple of packet lengths."""
+        return MappingProxyType(self._flows)
+
+    @property
+    def name(self) -> str:
+        return self._name
 
     # -- truth -------------------------------------------------------------
 
     def true_size(self, flow: FlowKey) -> int:
         """Number of packets in the flow."""
-        return len(self.flows[flow])
+        return len(self._flows[flow])
 
     def true_volume(self, flow: FlowKey) -> int:
         """Number of bytes in the flow."""
-        return sum(self.flows[flow])
+        return sum(self._flows[flow])
 
     def true_totals(self, mode: str) -> Dict[FlowKey, int]:
         """Per-flow ground truth for the given counting mode."""
         if mode == "size":
-            return {f: len(ls) for f, ls in self.flows.items()}
+            return {f: len(ls) for f, ls in self._flows.items()}
         if mode == "volume":
-            return {f: sum(ls) for f, ls in self.flows.items()}
+            return {f: sum(ls) for f, ls in self._flows.items()}
         raise ParameterError(f"mode must be 'size' or 'volume', got {mode!r}")
 
     def __len__(self) -> int:
-        return len(self.flows)
+        return len(self._flows)
 
     def __contains__(self, flow: FlowKey) -> bool:
-        return flow in self.flows
+        return flow in self._flows
 
     @property
     def num_packets(self) -> int:
-        return sum(len(ls) for ls in self.flows.values())
+        return sum(len(ls) for ls in self._flows.values())
 
     # -- replay --------------------------------------------------------------
 
@@ -106,7 +127,7 @@ class Trace:
         * ``"roundrobin"`` — one packet per flow per round.
         """
         if order in ("sequential", "asis"):
-            for flow, lengths in self.flows.items():
+            for flow, lengths in self._flows.items():
                 for length in lengths:
                     yield Packet(flow=flow, length=length)
             return
@@ -114,7 +135,7 @@ class Trace:
             rand = rng if isinstance(rng, random.Random) else random.Random(rng)
             pairs: List[Tuple[FlowKey, int]] = [
                 (flow, length)
-                for flow, lengths in self.flows.items()
+                for flow, lengths in self._flows.items()
                 for length in lengths
             ]
             rand.shuffle(pairs)
@@ -122,7 +143,7 @@ class Trace:
                 yield Packet(flow=flow, length=length)
             return
         if order == "roundrobin":
-            iterators = {flow: iter(lengths) for flow, lengths in self.flows.items()}
+            iterators = {flow: iter(lengths) for flow, lengths in self._flows.items()}
             while iterators:
                 exhausted = []
                 for flow, it in iterators.items():
@@ -149,16 +170,16 @@ class Trace:
 
     def length_variance(self, flow: FlowKey) -> float:
         """Population variance of the flow's packet lengths."""
-        lengths = self.flows[flow]
+        lengths = self._flows[flow]
         n = len(lengths)
         mean = sum(lengths) / n
         return sum((l - mean) ** 2 for l in lengths) / n
 
     def stats(self) -> TraceStats:
-        num_flows = len(self.flows)
+        num_flows = len(self._flows)
         num_packets = self.num_packets
-        total_bytes = sum(sum(ls) for ls in self.flows.values())
-        variances = [self.length_variance(f) for f in self.flows]
+        total_bytes = sum(sum(ls) for ls in self._flows.values())
+        variances = [self.length_variance(f) for f in self._flows]
         over_10 = sum(1 for v in variances if v > 10.0)
         return TraceStats(
             num_flows=num_flows,
@@ -173,11 +194,11 @@ class Trace:
 
     def subsample(self, num_flows: int, rng: Union[None, int, random.Random] = None) -> "Trace":
         """A new trace containing a uniform sample of the flows."""
-        if num_flows >= len(self.flows):
-            return Trace(dict(self.flows), name=self.name)
+        if num_flows >= len(self._flows):
+            return Trace(self._flows, name=self._name)
         rand = rng if isinstance(rng, random.Random) else random.Random(rng)
-        chosen = rand.sample(list(self.flows), num_flows)
-        return Trace({f: self.flows[f] for f in chosen}, name=f"{self.name}:sub{num_flows}")
+        chosen = rand.sample(list(self._flows), num_flows)
+        return Trace({f: self._flows[f] for f in chosen}, name=f"{self._name}:sub{num_flows}")
 
     def __repr__(self) -> str:
-        return f"Trace(name={self.name!r}, flows={len(self.flows)}, packets={self.num_packets})"
+        return f"Trace(name={self._name!r}, flows={len(self._flows)}, packets={self.num_packets})"

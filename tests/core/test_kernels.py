@@ -30,6 +30,7 @@ from repro.counters.sd import SdCounters
 from repro.errors import ParameterError
 from repro.harness.montecarlo import measure_trace_estimator
 from repro.facade import replay
+from repro.metrics.errors import relative_errors_array
 from repro.traces.nlanr import nlanr_like
 from repro.traces.trace import Trace
 
@@ -253,6 +254,84 @@ class TestEdgeCases:
             run_kernel(trace, factory, replicas=0)
         with pytest.raises(ParameterError):
             run_kernel(trace, factory, min_lanes=0)
+
+
+#: One fresh scheme per registry kernel, for the read-out checks.
+READOUT_SCHEMES = {
+    "disco": lambda: DiscoSketch(b=B, mode="volume", rng=0),
+    "sac": lambda: SmallActiveCounters(total_bits=10, mode_bits=3,
+                                       mode="volume", rng=0),
+    "anls": lambda: Anls(b=B, mode="size", rng=0),
+    "anls-1": lambda: AnlsBytesNaive(b=B, mode="volume", rng=0),
+    "anls-2": lambda: AnlsPerUnit(b=B, mode="volume", rng=0),
+    "sd": lambda: SdCounters(sram_bits=12, dram_access_ratio=8,
+                             mode="volume", rng=0),
+    "exact": lambda: ExactCounters(mode="volume"),
+    "ice": lambda: IceBuckets(total_bits=10, mode="volume", rng=0),
+    "aee": lambda: AeeCounters(p=0.3, total_bits=20, mode="volume", rng=0),
+}
+
+
+def _comprehension_writeback(name, kernel, keys):
+    """The written-back sketch state, built one element at a time."""
+    lanes, r0 = kernel.lanes, kernel._replica0
+    if name == "disco":
+        final = r0(kernel.state.counters[:lanes])
+        return {"_counters": {k: int(c) for k, c in zip(keys, final)}}
+    if name == "sac":
+        a, m = r0(kernel.a[:lanes]), r0(kernel.m[:lanes])
+        return {"_state": {k: (int(ai), int(mi))
+                           for k, ai, mi in zip(keys, a, m)}}
+    if name == "sd":
+        sram, dram = r0(kernel.sram[:lanes]), r0(kernel.dram[:lanes])
+        return {"_state": {k: int(s) for k, s in zip(keys, sram)},
+                "_dram": {k: int(d) for k, d in zip(keys, dram)}}
+    if name == "exact":
+        final = r0(kernel.totals[:lanes])
+        return {"_state": {k: int(t) for k, t in zip(keys, final)}}
+    state = {"_state": {k: int(c)
+                        for k, c in zip(keys, r0(kernel.c[:lanes]))}}
+    if name == "ice":
+        final_s, bf = r0(kernel.s[:lanes]), kernel.bucket_flows
+        state["_scale"] = {b: int(final_s[b * bf])
+                           for b in range((len(keys) + bf - 1) // bf)}
+    return state
+
+
+def _leaves(values):
+    for value in values:
+        if isinstance(value, tuple):
+            yield from value
+        else:
+            yield value
+
+
+class TestReadOut:
+    """Replay results and written-back state are exact Python numbers."""
+
+    def test_every_registry_kernel_is_covered(self):
+        assert sorted(READOUT_SCHEMES) == kernel_scheme_names()
+
+    @pytest.mark.parametrize("name", sorted(READOUT_SCHEMES))
+    def test_matches_per_element_comprehension(self, trace, name):
+        scheme, twin = READOUT_SCHEMES[name](), READOUT_SCHEMES[name]()
+        spec = _spec(twin)
+        ref = run_kernel(trace, spec.factory, mode=spec.mode, rng=twin._rng)
+        result = replay(scheme, trace, engine="vector")
+        keys = ref.keys
+        assert result.estimates == {k: float(e)
+                                    for k, e in zip(keys, ref.estimates)}
+        assert result.truths == {k: int(t) for k, t in zip(keys, ref.truths)}
+        assert result.errors == [float(e) for e in relative_errors_array(
+            ref.estimates, ref.truths)]
+        state = _comprehension_writeback(name, ref.kernel, keys)
+        for attr, want in state.items():
+            assert getattr(scheme, attr) == want, attr
+        numbers = [*result.estimates.values(), *result.errors,
+                   *result.truths.values()]
+        for attr in state:
+            numbers.extend(_leaves(getattr(scheme, attr).values()))
+        assert {type(v) for v in numbers} <= {int, float}
 
 
 class _ScriptedUniforms:

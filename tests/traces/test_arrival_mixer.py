@@ -83,7 +83,7 @@ class TestMixer:
 
     def test_relabel(self):
         t = merge_traces([self._trace("t", a=[10, 20])], namespace=True)
-        assert t.flows == {"0/a": [10, 20]}
+        assert t.flows == {"0/a": (10, 20)}
         assert t.name == "t"
 
     def test_merge_disjoint(self):
@@ -106,18 +106,18 @@ class TestMixer:
 
     def test_scale_up(self):
         scaled = renormalize(self._trace("t", a=[10, 20, 30]), target_pps=6)
-        assert scaled.flows["a"] == [10, 20, 30, 10, 20, 30]
+        assert scaled.flows["a"] == (10, 20, 30, 10, 20, 30)
         assert scaled.true_volume("a") == 120
 
     def test_scale_down(self):
         scaled = renormalize(self._trace("t", a=[10, 20, 30, 40]),
                              target_pps=2)
-        assert scaled.flows["a"] == [10, 20]
+        assert scaled.flows["a"] == (10, 20)
 
     def test_scale_never_empties(self):
         scaled = renormalize(self._trace("t", a=[10], b=[20] * 99),
                              target_pps=1)
-        assert scaled.flows == {"a": [10], "b": [20]}
+        assert scaled.flows == {"a": (10,), "b": (20,)}
 
     def test_scale_validation(self):
         with pytest.raises(ParameterError):
