@@ -757,6 +757,55 @@ def measure_pair_batching() -> Dict[str, float]:
     return out
 
 
+#: Churn session of :func:`measure_stream_checkpoint`: chunks of this
+#: many int flows (half of them new each chunk) with 4 packets each, so
+#: the open epoch holds ~83k keys when the checkpoints are written.
+CKPT_CHUNKS = 80
+CKPT_CHUNK_FLOWS = 2048
+#: Timed checkpoint writes the median is taken over.
+CKPT_REPEATS = 5
+
+
+def measure_stream_checkpoint() -> Dict[str, float]:
+    """Checkpoint cost of a seeded churn session (history only).
+
+    A 4-shard vector DISCO ``StreamSession`` on the ``pools`` store
+    ingests :data:`CKPT_CHUNKS` seeded churn chunks into one open epoch,
+    then writes its checkpoint :data:`CKPT_REPEATS` times.  Returns the
+    median write as ``stream_checkpoint_ms`` and the file size as
+    ``stream_checkpoint_bytes`` — history only, never gated: the
+    baseline for bounding checkpoint growth over long uptimes.
+    """
+    import os
+    import tempfile
+
+    import numpy as np
+
+    from repro import scheme_factory
+    from repro.streaming import StreamSession
+
+    gen = np.random.default_rng(TRACE_SEED)
+    half = CKPT_CHUNK_FLOWS // 2
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "churn.ckpt")
+        session = StreamSession(scheme_factory("disco", b=DISCO_B, seed=0),
+                                shards=4, rng=TRACE_SEED, engine="vector",
+                                store="pools", checkpoint_path=path,
+                                checkpoint_every=CKPT_CHUNKS + 1)
+        for chunk in range(CKPT_CHUNKS):
+            keys = list(range(chunk * half, chunk * half + CKPT_CHUNK_FLOWS))
+            lengths = gen.integers(40, 1501, (CKPT_CHUNK_FLOWS, 4))
+            session.ingest_chunk(keys, list(lengths.astype(np.float64)))
+        samples = []
+        for _ in range(CKPT_REPEATS):
+            start = time.perf_counter()
+            session.checkpoint()
+            samples.append(time.perf_counter() - start)
+        size = os.path.getsize(path)
+    return {"stream_checkpoint_ms": round(statistics.median(samples) * 1e3, 3),
+            "stream_checkpoint_bytes": size}
+
+
 #: Interleaved Trace/CompiledTrace replay pairs (after one warm-up pair)
 #: the medians of :func:`measure_trace_overhead` are taken over.
 TRACE_OVERHEAD_PAIRS = 7
@@ -1002,6 +1051,11 @@ def main(argv=None) -> int:
           f"GeneratorFeed {telemetry['generator_feed_ms']:.1f} ms "
           f"(history only, not gated)")
 
+    telemetry.update(measure_stream_checkpoint())
+    print(f"stream checkpoint: {telemetry['stream_checkpoint_ms']:.1f} ms, "
+          f"{telemetry['stream_checkpoint_bytes'] / 1e6:.2f} MB at "
+          f"~{(CKPT_CHUNKS + 1) * CKPT_CHUNK_FLOWS // 2000}k keys "
+          f"(history only, not gated)")
     telemetry.update(measure_trace_overhead())
     print(f"replay() on a Trace vs its CompiledTrace: "
           f"{telemetry['replay_trace_overhead_ms']:+.3f} ms per call "

@@ -204,9 +204,10 @@ def main():
 
         # -- leg 4: socket feed, one malformed line ---------------------
         print("leg 4: socket feed skips a nan length")
-        # exact: with no trace to size from, disco has no max_length.
-        fed = ServeProcess(["--feed", "socket", "--scheme", "exact",
+        # No trace to size from: disco sizes b from the epoch watermark.
+        fed = ServeProcess(["--feed", "socket", "--scheme", "disco",
                             "--seed", "2", "--shards", "2",
+                            "--epoch-bytes", "1000000",
                             "--chunk-packets", "256"]).wait_ready()
         host, port = fed.wait_feed_bound()
         with socket.create_connection((host, port)) as conn:
@@ -220,7 +221,7 @@ def main():
               "the 3 good packets (175 bytes) were ingested")
         fed.client.drain()
         out, _err = fed.finish(expect_code=0)
-        check("drained: scheme=exact" in out and "packets=3" in out,
+        check("drained: scheme=disco" in out and "packets=3" in out,
               "socket daemon drained cleanly")
 
     elapsed = time.monotonic() - start

@@ -50,6 +50,7 @@ from repro.core.stores import store_names
 from repro.errors import ParameterError
 from repro.facade import replay, stream
 from repro.schemes import make_scheme, scheme_factory, scheme_names
+from repro.streaming import DEFAULT_CHUNK_PACKETS
 from repro.traces.registry import make_trace, trace_names
 from repro.traces.trace_io import read_trace, write_trace
 
@@ -325,6 +326,10 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+#: IPv4 total-length ceiling: the largest packet a socket feed can carry.
+_MAX_PACKET_BYTES = 65_535
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the long-running measurement daemon (see docs/serve.md)."""
     from repro import faults as _faults
@@ -352,9 +357,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
                          pairs=trace.packet_pairs(order="shuffled",
                                                   rng=args.seed))
     else:  # socket
+        # No trace bounds a flow, but the watermark bounds an epoch: a
+        # flow's epoch total is at most the watermark plus the chunk
+        # that crosses it.
+        chunk = (DEFAULT_CHUNK_PACKETS if args.chunk_packets is None
+                 else args.chunk_packets)
+        if args.mode == "volume":
+            flag, watermark = "--epoch-bytes", args.epoch_bytes
+            slack = chunk * _MAX_PACKET_BYTES
+        else:
+            flag, watermark, slack = ("--epoch-packets", args.epoch_packets,
+                                      chunk)
+        if watermark is not None:
+            factory_params["max_length"] = watermark + slack
         feed = make_feed("socket", host=args.ingest_host,
                          port=args.ingest_port)
-    factory = scheme_factory(args.scheme, **factory_params)
+    try:
+        factory = scheme_factory(args.scheme, **factory_params)
+    except ParameterError as exc:
+        if args.feed != "socket" or "max_length" in factory_params:
+            raise
+        raise ParameterError(
+            f"--scheme {args.scheme} on --feed socket sizes its counters "
+            f"from the epoch watermark; pass {flag} ({exc})") from None
 
     plan = _faults.resolve_plan(args.faults)
     daemon = build_daemon(

@@ -271,9 +271,11 @@ def run_kernel(
     resume:
         Optional :class:`~repro.core.kernels.KernelState` carried out of
         a previous replay (``result.kernel.export_state(...)``); the
-        fresh kernel loads it by flow key before the first column, so a
-        trace split into segments replays as a continuation rather than
-        from zero.  Requires a kernel with
+        fresh kernel loads it by position before the first column (row
+        ``i`` is ``compiled.keys[i]``'s lanes; rows past
+        ``resume.flows`` start at zero), so a trace split into segments
+        replays as a continuation rather than from zero.  Requires a
+        kernel with
         :attr:`~repro.core.kernels.SchemeKernel.resumable` set.
     engine:
         ``"vector"`` (default) runs the NumPy columnar loop above;

@@ -101,14 +101,17 @@ class KernelSpec:
 class KernelState:
     """Portable carry-state of a kernel replay (the streaming carry-in/out).
 
-    ``index`` maps each flow key to its row at export time; ``arrays``
-    holds the flow-major lane arrays (``lane = row * replicas +
-    replica``), copied out so the snapshot is independent of the kernel
-    that produced it; ``scalars`` carries per-kernel extras that are not
-    per-lane (SAC's per-replica ``r``, SD's DRAM-slot carry).  A state
-    is loaded into a *fresh* kernel by key, so the receiving replay may
-    order or extend the flow set differently — unseen keys start from
-    zeroed lanes.
+    The state is positional and holds no flow keys: row ``i`` is the
+    ``i``-th flow of the replay that exported it, and whoever exported
+    it keeps the keys if it needs them.  ``flows`` counts the rows;
+    ``arrays`` holds the flow-major lane arrays (``lane = row *
+    replicas + replica``), copied out so the snapshot is independent of
+    the kernel that produced it; ``scalars`` carries per-kernel extras
+    that are not per-lane (SAC's per-replica ``r``, SD's DRAM-slot
+    carry).  A state loads into a *fresh* kernel by position, so a
+    caller that reorders or extends the flow set gathers the rows into
+    the new order first — every kernel's lanes start at zero, so a
+    zero row is a flow with no carried state.
 
     When exported through a compact counter store
     (:meth:`SchemeKernel.export_state` with ``store=``), the lane
@@ -119,24 +122,18 @@ class KernelState:
     so hot loops never see the compact representation.
     """
 
-    index: Dict
+    flows: int
     arrays: Dict[str, np.ndarray]
     scalars: Dict[str, object]
     replicas: int = 1
     #: Optional compact backend holding the columns instead of
-    #: ``arrays`` (default ``None`` = dense, which also keeps pickles
-    #: from pre-store sessions loading).
+    #: ``arrays`` (default ``None`` = dense).
     store: Optional[object] = None
-
-    @property
-    def flows(self) -> int:
-        return len(self.index)
 
     @property
     def store_name(self) -> str:
         """Backend name the columns are held in (``"dense"`` = live arrays)."""
-        store = getattr(self, "store", None)
-        return "dense" if store is None else store.name
+        return "dense" if self.store is None else self.store.name
 
     def dense_arrays(self) -> Dict[str, np.ndarray]:
         """The lane columns as dense arrays, whatever backend holds them.
@@ -145,10 +142,9 @@ class KernelState:
         states decode every column — the staging step that keeps the
         columnar engines dense-only.
         """
-        store = getattr(self, "store", None)
-        if store is None:
+        if self.store is None:
             return self.arrays
-        return {name: store.read(name) for name in store.columns()}
+        return {name: self.store.read(name) for name in self.store.columns()}
 
     def nbytes(self) -> int:
         """Payload size of the lane columns as actually represented.
@@ -157,9 +153,8 @@ class KernelState:
         encoded footprint — the number checkpoint accounting and
         :mod:`repro.metrics.memory` treat as the honest per-flow cost.
         """
-        store = getattr(self, "store", None)
-        if store is not None:
-            return int(store.nbytes())
+        if self.store is not None:
+            return int(self.store.nbytes())
         return sum(int(arr.nbytes) for arr in self.arrays.values())
 
 
@@ -272,7 +267,7 @@ class SchemeKernel(abc.ABC):
 
         Resumable kernels override this (and optionally the scalar
         hooks below); :meth:`export_state` / :meth:`load_state` do the
-        copying and key mapping generically.
+        copying generically.
         """
         raise NotImplementedError(f"{type(self).__name__} is not resumable")
 
@@ -284,10 +279,10 @@ class SchemeKernel(abc.ABC):
         """Restore what :meth:`_state_scalars` captured."""
 
     def export_state(self, keys: List, store=None) -> KernelState:
-        """Snapshot the per-lane state for ``keys`` (carry-out).
+        """Snapshot the per-lane state of this replay's flows (carry-out).
 
-        ``keys`` must be the replay's flow keys in lane order — row
-        ``i`` of the returned arrays is ``keys[i]``'s lanes.
+        ``keys`` is the replay's flow ordering; only its length is read
+        — row ``i`` of the returned arrays is flow ``i``'s lanes.
 
         ``store`` selects the counter-store backend holding the
         exported columns (:mod:`repro.core.stores`): ``None``/
@@ -300,49 +295,38 @@ class SchemeKernel(abc.ABC):
         from repro.core import stores as _stores
 
         width = len(keys) * self.replicas
-        index = {key: row for row, key in enumerate(keys)}
         arrays = {name: np.array(arr[:width], copy=True)
                   for name, arr in self._state_arrays().items()}
         store_name = _stores.resolve_store(store)
-        if store_name is None:
-            return KernelState(index=index, arrays=arrays,
-                               scalars=self._state_scalars(),
-                               replicas=self.replicas)
-        compact = _stores.make_store(store_name)
-        for name, arr in arrays.items():
-            compact.write(name, arr)
-        return KernelState(index=index, arrays={},
+        compact = None
+        if store_name is not None:
+            compact = _stores.make_store(store_name)
+            for name, arr in arrays.items():
+                compact.write(name, arr)
+            arrays = {}
+        return KernelState(flows=len(keys), arrays=arrays,
                            scalars=self._state_scalars(),
                            replicas=self.replicas, store=compact)
 
     def load_state(self, keys: List, state: KernelState) -> None:
         """Load carried state into this (fresh) kernel (carry-in).
 
-        ``keys`` is this replay's flow ordering; rows are matched by
-        key, so the carried flow set may be ordered differently or be a
-        subset/superset of this one.  Keys absent from ``state`` keep
-        their zeroed lanes.
+        ``keys`` is this replay's flow ordering; rows match by
+        position, so row ``i`` of ``state`` fills flow ``i``'s lanes and
+        flows past ``state.flows`` keep their zeroed lanes.  A state
+        with more rows than the replay has flows is an error.
         """
-        live, carried = self._carried_arrays(state)
-        rows = np.fromiter((state.index.get(key, -1) for key in keys),
-                           dtype=np.int64, count=len(keys))
-        present = rows >= 0
-        if present.any():
-            dst = np.flatnonzero(present)
-            src = rows[present]
-            R = self.replicas
-            for name, arr in carried.items():
-                target = live[name]
-                for rep in range(R):
-                    target[dst * R + rep] = arr[src * R + rep]
-        self._load_state_scalars(dict(state.scalars))
+        if state.flows > len(keys):
+            raise ParameterError(
+                f"carried state has {state.flows} flows, "
+                f"the replay has {len(keys)}")
+        self.load_rows(state)
 
     def load_rows(self, state: KernelState) -> None:
         """Load carried state by position: row ``i`` fills flow ``i``'s lanes.
 
-        The read-out companion of :meth:`load_state` for a kernel built
-        with ``state.flows`` flows whose ``index`` lists its rows in
-        order: no by-key remap and no kernel-specific re-layout.
+        :meth:`load_state` without its checks and without any
+        kernel-specific re-layout — what read-outs load through.
         """
         live, carried = self._carried_arrays(state)
         for name, arr in carried.items():
@@ -1369,8 +1353,9 @@ class IceKernel(SchemeKernel):
     independent arrays and carry independent bucket scales.  The scale
     is *stored per lane* (mirroring the bucket's shared level into every
     member) so exported :class:`KernelState` rows are self-describing:
-    a by-key load can land carried rows in different buckets and
-    :meth:`_rebucket` restores the shared-scale invariant afterwards.
+    a caller that regathers carried rows into a new flow order can land
+    them in different buckets, and :meth:`_rebucket` restores the
+    shared-scale invariant afterwards.
     """
 
     supports_tail = True
@@ -1493,9 +1478,9 @@ class IceKernel(SchemeKernel):
         self._rebucket()
 
     def _rebucket(self) -> None:
-        """Restore the shared-scale invariant after a by-key load.
+        """Restore the shared-scale invariant after a load.
 
-        Carried rows land wherever this replay's key order puts them, so
+        Carried rows land wherever this replay's flow order puts them, so
         one bucket can receive lanes exported under different scales.
         Bring every lagging lane up to its bucket's deepest scale with
         one unbiased probabilistic re-encode (``c / 2^(smax - s)``,

@@ -92,9 +92,10 @@ def measured_state_bytes(state) -> int:
     ``state`` is a :class:`~repro.core.kernels.KernelState` (from
     :meth:`~repro.core.kernels.SchemeKernel.export_state`); dense
     states sum their lane-array buffers, compact states report the
-    counter store's encoded footprint.  This is the column payload only
-    — the flow *index* (key→row dict) is deployment-dependent and
-    excluded, so backends compare like for like.
+    counter store's encoded footprint.  This is the column payload
+    only: a ``KernelState`` is positional and holds no flow keys (the
+    caller's key table is deployment-dependent), so backends compare
+    like for like.
     """
     nbytes = getattr(state, "nbytes", None)
     if not callable(nbytes):

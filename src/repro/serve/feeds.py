@@ -28,12 +28,13 @@ from __future__ import annotations
 import asyncio
 import math
 from itertools import islice
-from typing import AsyncIterator, Hashable, Iterable, List, Optional, Tuple
+from typing import (AsyncIterator, Dict, Hashable, Iterable, List, Optional,
+                    Tuple)
 
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.streaming import pair_batches
+from repro.streaming import length_columns, pair_batches
 from repro.traces.compiled import CompiledTrace, compile_trace
 from repro.traces.trace import Trace
 
@@ -180,38 +181,30 @@ class SocketFeed(Feed):
                       start: int = 0) -> AsyncIterator[Batch]:
         if self._server is None:
             await self.start()
-        batch_keys: List[Hashable] = []
-        batch_map = {}
+        lengths: Dict[Hashable, List[float]] = {}
         count = 0
-
-        def flush() -> Batch:
-            return (batch_keys,
-                    [np.asarray(batch_map[k], dtype=np.float64)
-                     for k in batch_keys])
-
         while True:
             try:
                 item = await asyncio.wait_for(self._queue.get(),
                                               timeout=self.flush_seconds)
             except asyncio.TimeoutError:
                 if count:
-                    yield flush()
-                    batch_keys, batch_map, count = [], {}, 0
+                    yield length_columns(lengths, count)
+                    lengths, count = {}, 0
                 continue
             if item is None:
                 break
             key, length = item
-            lens = batch_map.get(key)
+            lens = lengths.get(key)
             if lens is None:
-                batch_map[key] = lens = []
-                batch_keys.append(key)
+                lengths[key] = lens = []
             lens.append(length)
             count += 1
             if count >= chunk_packets:
-                yield flush()
-                batch_keys, batch_map, count = [], {}, 0
+                yield length_columns(lengths, count)
+                lengths, count = {}, 0
         if count:
-            yield flush()
+            yield length_columns(lengths, count)
 
 
 def make_feed(kind: str, *, trace=None, pairs=None, host: str = "127.0.0.1",

@@ -13,14 +13,15 @@ reproduces that shape on top of the columnar kernel stack:
   call.
 * The flow space is partitioned across ``S`` shards by
   :func:`repro.flows.hashing.stable_hash`.  Each shard holds its open
-  epoch as one persistent :class:`~repro.core.kernels.KernelState`
-  (``index``: key → lane, lanes numbered first-seen, arrays grown as
-  keys arrive).  A chunk gathers the rows it replays by lane, runs them
-  through one columnar :func:`~repro.core.batchreplay.run_kernel` pass
-  (carry-in via ``resume=``/``load_state``, carry-out via
-  ``export_state``) and scatters them back.  For
+  epoch as one persistent, positional
+  :class:`~repro.core.kernels.KernelState` (lanes numbered first-seen,
+  arrays grown as keys arrive).  A chunk gathers the rows it replays by
+  lane, runs them through one columnar
+  :func:`~repro.core.batchreplay.run_kernel` pass keyed by lane (carry-in
+  via ``resume=``/``load_state``, carry-out via ``export_state``, both
+  by position) and scatters them back.  For
   :attr:`~repro.core.kernels.SchemeKernel.lane_local` kernels the rows
-  are the chunk's keys only, so a chunk costs O(chunk), not O(epoch
+  are the chunk's lanes only, so a chunk costs O(chunk), not O(epoch
   keys); coupled kernels (SAC, SD, ICE) replay every lane.
 * Routing is columnar.  The open epoch interns its keys to ids (one
   dict, key → id); int64 columns give each id its shard and its lane.
@@ -29,8 +30,9 @@ reproduces that shape on top of the columnar kernel stack:
   :func:`~repro.flows.hashing.fnv1a64_int64` when they are plain ints,
   else one :func:`~repro.flows.hashing.stable_hash` per key) and reads
   shards and lanes by fancy indexing.  Each shard keeps its keys in
-  lane order and its per-lane truths as an int64 column.  Every table
-  resets with the epoch, so it holds one epoch's keys at most.
+  lane order — the only place flow keys live, read at rotation, query
+  and checkpoint — and its per-lane truths as an int64 column.  Every
+  table resets with the epoch, so it holds one epoch's keys at most.
 * A chunk commits whole or not at all: its lengths are checked (finite,
   > 0) before anything changes, and lanes, truths, ids and carried
   state are written only in the scatter step, after every shard-chunk
@@ -103,7 +105,7 @@ __all__ = ["StreamSession", "StreamResult", "EpochSnapshot",
 DEFAULT_CHUNK_PACKETS = 8192
 
 _CHECKPOINT_MAGIC = "repro-stream-checkpoint"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +284,19 @@ def pair_batches(pairs: Iterable[Tuple[Hashable, float]],
         lens.append(float(length))
         count += 1
         if count >= chunk_packets:
-            yield _length_columns(lengths, count)
+            yield length_columns(lengths, count)
             lengths, count = {}, 0
     if count:
-        yield _length_columns(lengths, count)
+        yield length_columns(lengths, count)
 
 
-def _length_columns(lengths: Dict[Hashable, List[float]], count: int
+def length_columns(lengths: Dict[Hashable, List[float]], count: int
                     ) -> Tuple[List[Hashable], List[np.ndarray]]:
     """One chunk's per-key length arrays, as views of one float64 column.
 
     The column is built in one pass over all the lists, so a chunk with
-    many keys pays one conversion, not one per key.
+    many keys pays one conversion, not one per key.  :func:`pair_batches`
+    and :class:`repro.serve.feeds.SocketFeed` both batch through here.
     """
     column = np.fromiter(chain.from_iterable(lengths.values()),
                          dtype=np.float64, count=count)
@@ -302,21 +305,28 @@ def _length_columns(lengths: Dict[Hashable, List[float]], count: int
                            for begin, end in zip([0] + ends, ends)]
 
 
-def _readout(spec, state: KernelState) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode a shard state: estimates and raw counters, in ``index`` order.
+def _readout(spec, state: KernelState, order: Optional[np.ndarray]
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode a shard state: estimates and raw counters, in lane order.
 
     A throwaway kernel holds the state (no packets replayed, so its
-    generator is never drawn from).  Lane-local lanes load by position;
-    coupled state loads by key in its last replay's row order, the
-    layout ICE's re-bucketing ran under.
+    generator is never drawn from).  Lane-local lanes (``order`` is
+    ``None``) load as they are.  Coupled state loads in ``order`` — its
+    last replay's lanes in row order, the layout ICE's re-bucketing ran
+    under — and the read-out is put back in lane order.
     """
     R = state.replicas
     kernel = spec.factory(state.flows * R, np.random.default_rng(0), R)
-    if kernel.lane_local:
+    if order is None:
         kernel.load_rows(state)
-    else:
-        kernel.load_state(list(state.index), state)
-    return kernel.estimates()[::R], kernel.counters()[::R]
+        return kernel.estimates()[::R], kernel.counters()[::R]
+    # Session states carry one replica, so a lane is a row.
+    kernel.load_state(order, KernelState(
+        flows=order.size, scalars=state.scalars,
+        arrays={name: col[order]
+                for name, col in state.dense_arrays().items()}))
+    back = np.argsort(order)
+    return kernel.estimates()[back], kernel.counters()[back]
 
 
 def _grown(column: np.ndarray, size: int, fill: int) -> np.ndarray:
@@ -578,9 +588,8 @@ class StreamSession:
         shard, lane = int(self._id_shard[i]), int(self._id_lane[i])
         state = self._state[shard]
         if not self._lane_local:
-            _, estimates, counters, rows = self._shard_readout(shard)
-            row = int(rows[lane])
-            return float(estimates[row]), int(counters[row])
+            _, estimates, counters = self.live_readout(shard)
+            return float(estimates[lane]), int(counters[lane])
         R = state.replicas
         lanes = lane * R + np.arange(R)
         store = state.store
@@ -590,7 +599,7 @@ class StreamSession:
             arrays = {name: store.read_rows(name, lanes)
                       for name in store.columns()}
         kernel = self._spec.factory(R, np.random.default_rng(0), R)
-        kernel.load_rows(KernelState(index={key: 0}, arrays=arrays,
+        kernel.load_rows(KernelState(flows=1, arrays=arrays,
                                      scalars=state.scalars, replicas=R))
         self.live_lanes_decoded += R
         return float(kernel.estimates()[0]), int(kernel.counters()[0])
@@ -599,12 +608,28 @@ class StreamSession:
                      ) -> Tuple[List[Hashable], np.ndarray, np.ndarray]:
         """One shard's open epoch as arrays: ``(keys, estimates, counters)``.
 
-        Aligned by position, in the shard's ``index`` order; no dict is
-        built.  The decode is cached per chunk boundary, so the arrays
-        are read-only and shared between callers.
+        Aligned by position, in the shard's lane order; no dict is
+        built.  ``keys`` is the session's own lane list (as
+        :meth:`live_keys`).  The decode is cached per chunk boundary —
+        ``(epoch, chunk in epoch)``, which every ingested chunk and every
+        rotation advances — so the arrays are read-only and shared
+        between callers.
         """
-        keys, estimates, counters, _ = self._shard_readout(shard)
-        return keys, estimates, counters
+        boundary = (self.epoch_index, self._chunk_in_epoch)
+        if boundary != self._readout_boundary:
+            self._readout_cache = {}
+            self._readout_boundary = boundary
+        cached = self._readout_cache.get(shard)
+        if cached is None:
+            state = self._state[shard]
+            estimates, counters = _readout(self._spec, state,
+                                           self._order[shard])
+            estimates.setflags(write=False)
+            counters.setflags(write=False)
+            self.live_lanes_decoded += state.flows * state.replicas
+            cached = (self._lane_keys[shard], estimates, counters)
+            self._readout_cache[shard] = cached
+        return cached
 
     def live_keys(self, shard: int) -> List[Hashable]:
         """One shard's open-epoch keys in lane order, decoding nothing.
@@ -635,35 +660,6 @@ class StreamSession:
             merged.update(zip(keys, counters.tolist()))
         return merged
 
-    def _shard_readout(self, shard: int):
-        """``live_readout`` plus each lane's row in it, cached per boundary.
-
-        ``(epoch, chunk in epoch)`` names a chunk boundary: every
-        ingested chunk advances it and every rotation opens a new epoch.
-        The lane → row map is built for coupled kernels only, whose
-        ``index`` keeps the last replay's row order; a lane-local
-        shard's rows are its lanes.
-        """
-        boundary = (self.epoch_index, self._chunk_in_epoch)
-        if boundary != self._readout_boundary:
-            self._readout_cache = {}
-            self._readout_boundary = boundary
-        cached = self._readout_cache.get(shard)
-        if cached is None:
-            state = self._state[shard]
-            estimates, counters = _readout(self._spec, state)
-            estimates.setflags(write=False)
-            counters.setflags(write=False)
-            rows = None
-            if not self._lane_local:
-                rows = np.zeros(state.flows, dtype=np.int64)
-                rows[np.fromiter(state.index.values(), dtype=np.int64,
-                                 count=state.flows)] = np.arange(state.flows)
-            self.live_lanes_decoded += state.flows * state.replicas
-            cached = (list(state.index), estimates, counters, rows)
-            self._readout_cache[shard] = cached
-        return cached
-
     # -- internals -----------------------------------------------------------
 
     def _reset_tables(self) -> None:
@@ -677,22 +673,24 @@ class StreamSession:
         self._lane_keys: List[List[Hashable]] = [[] for _ in range(self.shards)]
         self._lane_truth: List[np.ndarray] = [np.zeros(0, dtype=np.int64)
                                               for _ in range(self.shards)]
+        #: Per coupled shard: its last replay's lanes in row order, the
+        #: layout read-outs load it in (``None`` for lane-local kernels).
+        self._order: List[Optional[np.ndarray]] = [
+            None if self._lane_local else np.zeros(0, dtype=np.int64)
+            for _ in range(self.shards)]
 
-    def _shard_truths(self) -> List[Dict[Hashable, int]]:
-        """Per shard, ``{flow: truth}`` in lane order."""
-        return [dict(zip(keys, truth[:len(keys)].tolist()))
-                for keys, truth in zip(self._lane_keys, self._lane_truth)]
+    def _load_tables(self, lanes) -> None:
+        """Rebuild the key tables from checkpointed per-shard lanes.
 
-    def _load_tables(self, truths: List[Dict[Hashable, int]]) -> None:
-        """Rebuild the key tables from restored lanes and per-shard truths."""
+        ``lanes`` holds one ``(keys, truths, order)`` triple per shard,
+        as :meth:`checkpoint` writes them.
+        """
         self._reset_tables()
         shard_of, lane_of = [], []
-        for shard, (state, shard_truths) in enumerate(zip(self._state, truths)):
-            keys = sorted(state.index, key=state.index.get)
+        for shard, (keys, truth, order) in enumerate(lanes):
             self._lane_keys[shard] = keys
-            self._lane_truth[shard] = np.fromiter(
-                map(shard_truths.get, keys, repeat(0)), dtype=np.int64,
-                count=len(keys))
+            self._lane_truth[shard] = truth
+            self._order[shard] = order
             self._ids.update(zip(keys, range(len(self._ids),
                                              len(self._ids) + len(keys))))
             shard_of.append(np.full(len(keys), shard, dtype=np.int64))
@@ -718,27 +716,28 @@ class StreamSession:
         return np.fromiter((stable_hash(key) % self.shards for key in keys),
                            dtype=np.int64, count=len(keys))
 
-    def _shard_chunk_trace(self, shard: int, keys: List[Hashable],
-                           ids: np.ndarray, pos: np.ndarray,
-                           starts: np.ndarray, sizes: np.ndarray,
-                           sums: np.ndarray, flat: np.ndarray):
+    def _shard_chunk_trace(self, shard: int, ids: np.ndarray,
+                           pos: np.ndarray, starts: np.ndarray,
+                           sizes: np.ndarray, sums: np.ndarray,
+                           flat: np.ndarray):
         """Compile one shard's replay rows for the chunk, with their carry-in.
 
         ``pos`` indexes the chunk's keys routed to this shard, whose
         lengths are ``flat[starts[i]:starts[i] + sizes[i]]``.  The rows
-        are those keys for a lane-local kernel, else every lane of the
-        shard (untouched ones as zero-packet rows).  Rows sort by
+        are those keys' lanes for a lane-local kernel, else every lane of
+        the shard (untouched ones as zero-packet rows).  Rows sort by
         descending chunk packets, ties by lane: the order of a slice over
-        every lane, so either row set draws the same uniforms.
+        every lane, so either row set draws the same uniforms.  The trace
+        is keyed by lane; flow keys never enter the replay.
 
         Returns ``(trace, resume, rows, lanes, columns)``: the carry-in
-        gathered by lane, the rows' lanes, each ``pos`` key's lane (keys
-        new to the shard take ``n, n + 1, ...`` in chunk order) and the
-        decoded columns.  Nothing is written back here.
+        gathered into row order (rows new to the shard left at zero, as
+        every kernel's lanes start), the rows' lanes, each ``pos`` key's
+        lane (keys new to the shard take ``n, n + 1, ...`` in chunk
+        order) and the decoded columns.  Nothing is written back here.
         """
         state = self._state[shard]
-        lane_keys = self._lane_keys[shard]
-        n = len(lane_keys)
+        n = len(self._lane_keys[shard])
         lanes = self._id_lane[ids[pos]]
         fresh = np.flatnonzero(lanes < 0)
         lanes[fresh] = n + np.arange(fresh.size)
@@ -751,11 +750,6 @@ class StreamSession:
         row_sizes = np.where(src >= 0, sizes[src], 0)
         order = np.lexsort((rows, -row_sizes))
         rows, src, row_sizes = rows[order], src[order], row_sizes[order]
-        if self._lane_local:
-            row_keys = list(map(keys.__getitem__, src.tolist()))
-        else:
-            lane_keys = lane_keys + [keys[i] for i in pos[fresh].tolist()]
-            row_keys = list(map(lane_keys.__getitem__, rows.tolist()))
         offsets = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(row_sizes, out=offsets[1:])
         # Active rows are a prefix (sizes descend); gather their lengths
@@ -765,16 +759,17 @@ class StreamSession:
                                  row_sizes[:active])
                        + np.arange(offsets[active])]
         trace = CompiledTrace(
-            name=f"{self.name}:shard{shard}", keys=row_keys, lengths=lengths,
+            name=f"{self.name}:shard{shard}", keys=rows, lengths=lengths,
             offsets=offsets, sizes=row_sizes,
             volumes=np.where(row_sizes > 0, sums[src], 0).astype(np.int64))
         columns = state.dense_arrays()
         carried = np.flatnonzero(rows < n)
-        resume = KernelState(
-            index=dict(zip(map(row_keys.__getitem__, carried.tolist()),
-                           range(carried.size))),
-            arrays={name: col[rows[carried]] for name, col in columns.items()},
-            scalars=state.scalars, replicas=state.replicas)
+        arrays = {}
+        for name, col in columns.items():
+            arrays[name] = np.zeros(rows.size, dtype=col.dtype)
+            arrays[name][carried] = col[rows[carried]]
+        resume = KernelState(flows=rows.size, arrays=arrays,
+                             scalars=state.scalars, replicas=state.replicas)
         return trace, resume, rows, lanes, columns
 
     def _scatter(self, shard: int, carried: KernelState,
@@ -792,13 +787,12 @@ class StreamSession:
         n = len(lane_keys)
         new = pos[lanes >= n]  # chunk order == lane order
         new_keys = list(map(keys.__getitem__, new.tolist()))
-        if self._lane_local:
-            state.index.update(zip(new_keys, range(n, n + len(new_keys))))
-        else:
-            # Every lane was replayed: keep the index in row order, the
-            # layout read-outs load coupled state in.
-            state.index = dict(zip(trace.keys, rows.tolist()))
         lane_keys.extend(new_keys)
+        state.flows = len(lane_keys)
+        if not self._lane_local:
+            # Every lane was replayed: keep its row order, the layout
+            # read-outs load coupled state in.
+            self._order[shard] = rows
         self._ids.update(zip(new_keys, ids[new].tolist()))
         self._id_lane[ids[pos]] = lanes
         truth = _grown(self._lane_truth[shard], len(lane_keys), 0)
@@ -828,7 +822,7 @@ class StreamSession:
         """One empty lane state per shard, as every epoch starts."""
         from repro.core import stores as _stores
 
-        return [KernelState(index={}, arrays={}, scalars={},
+        return [KernelState(flows=0, arrays={}, scalars={},
                             store=self._store and _stores.make_store(self._store))
                 for _ in range(self.shards)]
 
@@ -897,7 +891,7 @@ class StreamSession:
                 spawn_key=self._root_key + (self.epoch_index, shard,
                                             self._chunk_in_epoch))
             trace, resume, rows, lanes, columns = self._shard_chunk_trace(
-                shard, keys, ids, pos, starts, sizes, sums, flat)
+                shard, ids, pos, starts, sizes, sums, flat)
             replays.append((trace, seed, resume))
             commits.append((shard, trace, rows, pos, lanes, columns))
         gathered = time.perf_counter() if self._enabled else 0.0
@@ -962,15 +956,16 @@ class StreamSession:
         """
         if self._epoch_packet_count == 0:
             return None
-        readouts = [_readout(self._spec, state) for state in self._state]
-        shard_estimates = tuple(dict(zip(state.index, estimates.tolist()))
-                                for state, (estimates, _) in
-                                zip(self._state, readouts))
+        readouts = [_readout(self._spec, state, order)
+                    for state, order in zip(self._state, self._order)]
+        shard_estimates = tuple(dict(zip(keys, estimates.tolist()))
+                                for keys, (estimates, _) in
+                                zip(self._lane_keys, readouts))
         shard_bits = tuple(int(counters.max(initial=0)).bit_length()
                            for _, counters in readouts)
         truths: Dict[Hashable, int] = {}
-        for shard_truths in self._shard_truths():
-            truths.update(shard_truths)
+        for keys, truth in zip(self._lane_keys, self._lane_truth):
+            truths.update(zip(keys, truth[:len(keys)].tolist()))
         self._epoch_tel.count("stream.epochs")
         snap_tel = self._epoch_tel.snapshot() if self._enabled else None
         snapshot = EpochSnapshot(
@@ -1056,7 +1051,8 @@ class StreamSession:
             "epoch_volume_count": self._epoch_volume_count,
             "elapsed_seconds": self.elapsed_seconds,
             "state": list(self._state),
-            "truths": self._shard_truths(),
+            "lanes": [(keys, truth[:len(keys)], order) for keys, truth, order
+                      in zip(self._lane_keys, self._lane_truth, self._order)],
             "snapshots": list(self.snapshots),
         }
         try:
@@ -1094,11 +1090,11 @@ class StreamSession:
         feeding it the same source yields estimates bit-identical to the
         uninterrupted run.  ``telemetry`` is an execution-environment
         choice, not measurement state, so it is chosen fresh here.  Each
-        shard's lanes come from its carried ``state`` (keys sorted by
-        lane) and their truths from the per-shard ``truths`` dicts; the
-        epoch's ids are renumbered from those, as ids never leave the
-        session.  A ``"keys"`` field, written by older sessions, is
-        ignored.
+        shard's carried ``state`` is positional; its ``lanes`` entry
+        holds the keys in lane order, their truths and (coupled kernels)
+        the last replay's row order.  The epoch's ids are renumbered
+        from those, as ids never leave the session.  A checkpoint of
+        another version is refused.
         """
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
@@ -1136,7 +1132,7 @@ class StreamSession:
         session.elapsed_seconds = payload["elapsed_seconds"]
         session._state = [state or empty for state, empty
                           in zip(payload["state"], session._state)]
-        session._load_tables(payload["truths"])
+        session._load_tables(payload["lanes"])
         session.snapshots = list(payload["snapshots"])
         session._resume_skip = session.packets_consumed
         session._epoch_tel.count("stream.resumes")

@@ -498,3 +498,31 @@ class TestDwellBoundary:
         us = np.random.default_rng(3).random(50).tolist()
         assert self._disco_tail(b, 0, None, list(us)) \
             == self._disco_reference(b, 0, [1.0] * len(us), us)
+
+
+class TestPositionalState:
+    """Carried state loads by position and refuses rows it cannot place."""
+
+    def _exported(self, trace):
+        spec = _spec(DiscoSketch(b=B, mode="volume", rng=0))
+        result = run_kernel(trace, spec.factory, mode=spec.mode, rng=5)
+        return spec, result.kernel.export_state(result.keys)
+
+    def test_state_holds_no_keys(self, trace):
+        _, state = self._exported(trace)
+        assert state.flows == len(trace.flows)
+        assert not hasattr(state, "index")
+
+    def test_rows_load_by_position(self, trace):
+        spec, state = self._exported(trace)
+        kernel = spec.factory(state.flows + 3, np.random.default_rng(0), 1)
+        kernel.load_state(list(range(state.flows + 3)), state)
+        live = kernel._state_arrays()["counters"]
+        assert np.array_equal(live[:state.flows], state.arrays["counters"])
+        assert not live[state.flows:].any()
+
+    def test_more_rows_than_flows_rejected(self, trace):
+        spec, state = self._exported(trace)
+        kernel = spec.factory(state.flows - 1, np.random.default_rng(0), 1)
+        with pytest.raises(ParameterError, match="carried state has"):
+            kernel.load_state(list(range(state.flows - 1)), state)

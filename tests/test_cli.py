@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.schemes import scheme_names
 
 
 class TestParser:
@@ -212,3 +214,53 @@ class TestRegistrySpecs:
     def test_unknown_registry_name_exits_2(self, capsys):
         assert main(["replay", "--trace", "wavelet"]) == 2
         assert "unknown trace" in capsys.readouterr().err
+
+
+class TestServeSocketSizing:
+    """`serve --feed socket` sizes counters from the epoch watermark."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        # Run each daemon's real session over one chunk instead of
+        # binding listeners: what matters is that the scheme was built.
+        from repro.serve.daemon import ServeDaemon
+
+        daemons = []
+
+        def serve_forever(daemon):
+            daemons.append(daemon)
+            daemon.session.ingest_chunk(
+                ["f1", "f2"], [np.array([1500.0, 40.0]), np.array([576.0])])
+            return daemon.session.finish()
+
+        monkeypatch.setattr(ServeDaemon, "serve_forever", serve_forever)
+        return daemons
+
+    @pytest.mark.parametrize("scheme", scheme_names())
+    @pytest.mark.parametrize("mode, watermark, bound", [
+        ("volume", ["--epoch-bytes", "100000"], 100_000 + 64 * 65_535),
+        ("size", ["--epoch-packets", "5000"], 5000 + 64),
+    ])
+    def test_every_scheme_starts_given_only_the_watermark(
+            self, started, capsys, scheme, mode, watermark, bound):
+        argv = ["serve", "--feed", "socket", "--scheme", scheme,
+                "--mode", mode, "--chunk-packets", "64"] + watermark
+        assert main(argv) == 0
+        assert "packets=3" in capsys.readouterr().out
+        (daemon,) = started
+        assert daemon.feed.name == "socket"  # never bound
+        assert dict(daemon.session.scheme_factory.params)["max_length"] \
+            == bound
+
+    @pytest.mark.parametrize("mode, flag", [("volume", "--epoch-bytes"),
+                                            ("size", "--epoch-packets")])
+    def test_missing_watermark_named_before_binding(self, started, capsys,
+                                                    mode, flag):
+        assert main(["serve", "--feed", "socket", "--scheme", "disco",
+                     "--mode", mode]) == 2
+        assert flag in capsys.readouterr().err
+        assert started == []
+
+    def test_unsized_scheme_needs_no_watermark(self, started, capsys):
+        assert main(["serve", "--feed", "socket", "--scheme", "exact"]) == 0
+        assert len(started) == 1

@@ -35,7 +35,7 @@ from repro import (
     stream,
 )
 from repro.core.batchreplay import run_kernel
-from repro.core.kernels import kernel_spec
+from repro.core.kernels import KernelState, kernel_spec
 from repro.errors import ParameterError
 from repro.export.collector import Collector
 from repro.flows.hashing import stable_hash
@@ -331,6 +331,17 @@ class TestCheckpointRestore:
         with pytest.raises(ParameterError, match="not a stream checkpoint"):
             StreamSession.restore(str(bogus))
 
+    def test_restore_refuses_version_1(self, tmp_path):
+        # Version 1 carried keyed state (``KernelState.index`` plus
+        # per-shard truth dicts); positional state cannot read it.
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(pickle.dumps({"magic": "repro-stream-checkpoint",
+                                      "version": 1}))
+        with pytest.raises(ParameterError,
+                           match=r"checkpoint version 1 is not supported "
+                                 r"\(expected 2\)"):
+            StreamSession.restore(str(old))
+
     def test_resuming_finished_stream_is_noop(self, compiled, tmp_path):
         factory = scheme_factory("exact")
         config = self._config(compiled, tmp_path / "done.ckpt")
@@ -546,6 +557,27 @@ def _churn_chunks(seed, chunks, keys_per_chunk):
     return out
 
 
+def _by_key(carried, keys):
+    """A reference carry ``(rows, state)`` regathered into ``keys`` order.
+
+    Kernel state is positional; the reference keeps each state's keys
+    itself and matches rows by key here, so it shares nothing with the
+    session's lane bookkeeping.  Keys the state lacks get zero rows, as
+    a fresh kernel's lanes.
+    """
+    if carried is None:
+        return None
+    rows, state = carried
+    where = {key: row for row, key in enumerate(rows)}
+    src = np.array([where.get(key, -1) for key in keys], dtype=np.int64)
+    arrays = {}
+    for name, col in state.dense_arrays().items():
+        arrays[name] = np.zeros(len(keys), dtype=col.dtype)
+        arrays[name][src >= 0] = col[src[src >= 0]]
+    return KernelState(flows=len(keys), arrays=arrays, scalars=state.scalars,
+                       replicas=state.replicas)
+
+
 def _full_slice_reference(factory, chunks, *, shards, epoch_packets, rng,
                           engine, store):
     """The full-slice stream schedule the touched-only one must reproduce.
@@ -562,8 +594,8 @@ def _full_slice_reference(factory, chunks, *, shards, epoch_packets, rng,
 
     def rotate(states, truths):
         estimates, bits = [], []
-        for state in states:
-            keys = list(state.index) if state is not None else []
+        for carried in states:
+            keys, state = carried if carried is not None else ([], None)
             kernel = spec.factory(len(keys), np.random.default_rng(0), 1)
             if keys:
                 kernel.load_state(keys, state)
@@ -604,8 +636,10 @@ def _full_slice_reference(factory, chunks, *, shards, epoch_packets, rng,
                 entropy=root.entropy,
                 spawn_key=tuple(root.spawn_key) + (epoch, shard, chunk_no))
             result = run_kernel(trace, spec.factory, mode=spec.mode, rng=seed,
-                                resume=states[shard], engine=engine)
-            states[shard] = result.kernel.export_state(rows, store=store)
+                                resume=_by_key(states[shard], rows),
+                                engine=engine)
+            states[shard] = (rows,
+                             result.kernel.export_state(rows, store=store))
         chunk_no += 1
         if packets >= epoch_packets:
             rotate(states, truths)
@@ -691,8 +725,14 @@ class TestTouchedOnlyRows:
                 epoch_keys[stable_hash(key) % shards].add(key)
             first = len(calls)
             session.ingest_chunk(keys, arrays)
-            covered = [set(rows) for rows in calls[first:]]
-            assert all(len(rows) == len(set(rows)) for rows in calls[first:])
+            # Replays are keyed by lane, one per touched shard in shard
+            # order; the shard's lane table names each lane's key.
+            hit = [shard for shard in range(shards) if touched[shard]]
+            covered = [set(map(session._lane_keys[shard].__getitem__,
+                               rows.tolist()))
+                       for shard, rows in zip(hit, calls[first:])]
+            assert all(len(rows) == len(set(rows.tolist()))
+                       for rows in calls[first:])
             assert covered == [
                 set(t) if probe.lane_local else set(e)
                 for t, e in zip(touched, epoch_keys) if t]
@@ -716,15 +756,15 @@ class TestShardMemoBounded:
             before = session.epoch_index
             session.ingest_chunk(keys, arrays)
             rotations += session.epoch_index - before
-            open_keys = set().union(*(state.index
-                                      for state in session._state))
+            open_keys = set().union(*session._lane_keys)
             assert set(session._ids) <= open_keys
             for key, key_id in session._ids.items():
                 shard = int(session._id_shard[key_id])
                 assert shard == stable_hash(key) % 3
                 lane = int(session._id_lane[key_id])
-                assert session._state[shard].index[key] == lane
                 assert session._lane_keys[shard][lane] == key
+            assert [state.flows for state in session._state] == [
+                len(keys) for keys in session._lane_keys]
         assert rotations >= 10
         session.rotate()
         assert session._ids == {}
