@@ -445,11 +445,19 @@ class DiscoKernel(SchemeKernel):
         self._ln_b = math.log(self.b)
         self.max_value = (1 << capacity_bits) - 1 if capacity_bits else None
         self._cache = None
+        #: Native steps that found their counter past the runner's exact
+        #: power tables and called libm instead (same result, slower).
+        self.table_fallbacks = 0
 
     def native_step(self):
         from repro.core import native
 
         return native.disco_runner(self)
+
+    def telemetry_events(self) -> Dict[str, int]:
+        events = super().telemetry_events()
+        events["kernel.disco.table_fallbacks"] = self.table_fallbacks
+        return events
 
     def step_column(self, column, active: int) -> None:
         self.state.step_active(column, slice(0, active))

@@ -36,11 +36,20 @@ Bit-identity
 * **AEE** — the easiest case of all: the sampling probability is a
   *constant*, so the column phase is a pre-drawn compare-add and the
   tail reuses the kernel's own vectorised mask-and-sum: bit-identical.
-* **DISCO** — the columnar update recomputes transcendentals in C
-  (libm's last-ulp behaviour may differ from NumPy's SIMD kernels), and
-  the tail runs in C on its own pre-drawn stream (the vector tail draws
-  from a scalar Mersenne stream and per-flow thresholds), so it is
-  distributionally equivalent.
+* **DISCO** — the columnar update evaluates Algorithm 1 in C with
+  libm (whose last-ulp behaviour may differ from NumPy's SIMD kernels),
+  and the tail runs in C on its own pre-drawn stream (the vector tail
+  draws from a scalar Mersenne stream and per-flow thresholds), so it
+  is distributionally equivalent.  The C step reads its powers from
+  three per-``b`` tables, ``b^c``, ``b^-c`` and ``b^d - 1``, filled by
+  the very libm expressions the direct step evaluates; when
+  ``l * b^-c < 1 - 1e-6`` it skips ``log1p`` too, because ``delta`` is
+  then provably 0.  A counter (or ``c + delta``) past the table end
+  takes the direct step and counts one
+  :attr:`~repro.core.kernels.DiscoKernel.table_fallbacks`.  Unlike the
+  IXP model's fixed-point Log&Exp table (:mod:`repro.ixp.logexp`),
+  which rounds, these hold the exact doubles the libm calls return, so
+  native DISCO results are unchanged bit for bit.
 * **SAC / ANLS-II / SD / ICE** — the vector paths draw data-dependent
   amounts of randomness (renormalisation cascades, geometric jump
   rounds, bucket up-scales) that no pre-drawn stream can mirror; the
@@ -249,13 +258,46 @@ void repro_ice(const double *lengths, const int64_t *offsets,
 
 /* ---------------- DISCO (Algorithm 1) ---------------- */
 
-/* One full Algorithm-1 step: counter c, packet length l, uniform u. */
-static int64_t disco_step(int64_t c, double l, double u,
-                          double ln_b, double bm1, double max_value,
-                          int64_t *sat)
+/* The step's constants and its exact lookup tables (see
+ * repro_disco_tables).  n = 0 means no tables: every step is direct. */
+typedef struct {
+    const double *bpow;   /* bpow[c] = b^c  */
+    const double *binv;   /* binv[c] = b^-c */
+    const double *em1;    /* em1[d]  = b^d - 1 */
+    int64_t n;
+    double ln_b;
+    double bm1;
+    double max_value;     /* < 0: no capacity */
+} disco_law;
+
+/* Fills the tables for c = 0..n-1 with the very libm expressions the
+ * direct step evaluates, so a lookup returns the bits the call would:
+ * exp(c*ln_b) is b^c, exp(-c*ln_b) is b^-c, expm1(d*ln_b) is b^d - 1,
+ * and exp((c+d)*ln_b) is bpow[c+d] because c+d is an exact double. */
+void repro_disco_tables(double ln_b, int64_t n, double *bpow, double *binv,
+                        double *em1)
 {
-    double cc = (double)c;
-    double headroom = log1p(l * bm1 * exp(-cc * ln_b)) / ln_b;
+    for (int64_t c = 0; c < n; c++) {
+        double cc = (double)c;
+        bpow[c] = exp(cc * ln_b);
+        binv[c] = exp(-cc * ln_b);
+        em1[c] = expm1(cc * ln_b);
+    }
+}
+
+static int64_t disco_clamp(const disco_law *L, int64_t nc, int64_t *sat)
+{
+    if (L->max_value >= 0.0 && (double)nc > L->max_value) {
+        (*sat)++;
+        nc = (int64_t)L->max_value;
+    }
+    return nc;
+}
+
+/* delta from the headroom log_b(1 + (b-1) l b^-c): one below its
+ * ceiling, or below the integer it lies within 1e-12 (relative) of. */
+static double disco_delta(double headroom)
+{
     double nearest = rint(headroom);
     double guard = 1e-12 * (nearest > 1.0 ? nearest : 1.0);
     double delta;
@@ -263,26 +305,73 @@ static int64_t disco_step(int64_t c, double l, double u,
         delta = nearest - 1.0;
     else
         delta = ceil(headroom) - 1.0;
-    if (delta < 0.0) delta = 0.0;
+    return delta < 0.0 ? 0.0 : delta;
+}
+
+/* One full Algorithm-1 step, every power from libm (the direct step):
+ * counter c, packet length l, uniform u. */
+static int64_t disco_direct(const disco_law *L, int64_t c, double l,
+                            double u, int64_t *sat)
+{
+    double ln_b = L->ln_b, bm1 = L->bm1;
+    double cc = (double)c;
+    double delta = disco_delta(log1p(l * bm1 * exp(-cc * ln_b)) / ln_b);
     double growth = exp(cc * ln_b) * expm1(delta * ln_b) / bm1;
     double gap = exp((cc + delta) * ln_b);
     double p = (l - growth) / gap;
     if (p < 0.0) p = 0.0;
     if (p > 1.0) p = 1.0;
-    int64_t nc = c + (int64_t)delta + (u < p ? 1 : 0);
-    if (max_value >= 0.0 && (double)nc > max_value) {
-        (*sat)++;
-        nc = (int64_t)max_value;
+    return disco_clamp(L, c + (int64_t)delta + (u < p ? 1 : 0), sat);
+}
+
+/* The same step reading the tables; bit-identical to disco_direct.
+ * Counters at or past the table end, and a c + delta that crosses it,
+ * take the direct step and count one fallback.
+ *
+ * delta = 0 shortcut: with x = l * b^-c < 1 - 1e-6 the headroom is
+ * log_b(1 + (b-1) x) < log_b(b - (b-1) 1e-6) = 1 - (b-1) 1e-6 / (b ln b)
+ * to first order, at least 1e-9 below 1 for any double b (ln b < 710),
+ * while the direct step's rounding moves it by a few ulps.  Its computed
+ * headroom is therefore below 1 + 1e-12, where both of its branches give
+ * delta = 0: ceil(h) - 1 <= 0 for h <= 1, and nearest = 1 is caught by
+ * the 1e-12 guard for h in (1, 1 + 1e-12].  With delta = 0 its growth is
+ * b^c * expm1(0) / (b-1) = +0.0, so p = l / b^c exactly. */
+static int64_t disco_step(const disco_law *L, int64_t c, double l, double u,
+                          int64_t *sat, int64_t *fallbacks)
+{
+    if ((uint64_t)c >= (uint64_t)L->n) {
+        (*fallbacks)++;
+        return disco_direct(L, c, l, u, sat);
     }
-    return nc;
+    double inv = L->binv[c];
+    int64_t d = 0;
+    double p;
+    if (l * inv < 1.0 - 1e-6) {
+        p = l / L->bpow[c];
+    } else {
+        d = (int64_t)disco_delta(log1p(l * L->bm1 * inv) / L->ln_b);
+        if (d >= L->n - c) {
+            (*fallbacks)++;
+            return disco_direct(L, c, l, u, sat);
+        }
+        double growth = L->bpow[c] * L->em1[d] / L->bm1;
+        p = (l - growth) / L->bpow[c + d];
+    }
+    if (p < 0.0) p = 0.0;
+    if (p > 1.0) p = 1.0;
+    return disco_clamp(L, c + d + (u < p ? 1 : 0), sat);
 }
 
 void repro_disco_columns(const double *lengths, const int64_t *offsets,
                          const int64_t *actives, int64_t t_end, int64_t R,
                          int64_t volume, const double *u,
                          double ln_b, double bm1, double max_value,
-                         int64_t *c, int64_t *sat)
+                         const double *bpow, const double *binv,
+                         const double *em1, int64_t tabn,
+                         int64_t *c, int64_t *sat_out, int64_t *fb_out)
 {
+    disco_law L = {bpow, binv, em1, tabn, ln_b, bm1, max_value};
+    int64_t sat = 0, fallbacks = 0;
     int64_t ui = 0;
     for (int64_t t = 0; t < t_end; t++) {
         int64_t act = actives[t];
@@ -290,26 +379,32 @@ void repro_disco_columns(const double *lengths, const int64_t *offsets,
             double l = volume ? lengths[offsets[i] + t] : 1.0;
             for (int64_t r = 0; r < R; r++) {
                 int64_t lane = i * R + r;
-                c[lane] = disco_step(c[lane], l, u[ui++], ln_b, bm1,
-                                     max_value, sat);
+                c[lane] = disco_step(&L, c[lane], l, u[ui++], &sat,
+                                     &fallbacks);
             }
         }
     }
+    *sat_out += sat;
+    *fb_out += fallbacks;
 }
 
 /* Tail: flows 0..nflows-1 from packet t_end to their budget, flow-major
  * (flow, replica, packet), one uniform per packet.  Below c* (the
  * smallest c >= 1 with b^c above the flow's largest remaining packet)
  * each packet takes the full decision; from c* on delta is 0 and the
- * decision is the dwell compare u < l * b^-c. */
+ * decision is the dwell compare u < l * b^-c, with b^-c read from the
+ * table (a counter past its end calls exp and counts one fallback). */
 void repro_disco_tail(const double *lengths, const int64_t *offsets,
                       const int64_t *sizes, int64_t nflows, int64_t t_end,
                       int64_t R, int64_t volume, const double *u,
                       double b, double ln_b, double max_value,
-                      int64_t *c, int64_t *sat)
+                      const double *bpow, const double *binv,
+                      const double *em1, int64_t tabn,
+                      int64_t *c, int64_t *sat_out, int64_t *fb_out)
 {
+    disco_law L = {bpow, binv, em1, tabn, ln_b, b - 1.0, max_value};
+    int64_t sat = 0, fallbacks = 0;
     int64_t ui = 0;
-    double bm1 = b - 1.0;
     for (int64_t i = 0; i < nflows; i++) {
         int64_t n = sizes[i] - t_end;
         if (n <= 0) continue;
@@ -329,23 +424,35 @@ void repro_disco_tail(const double *lengths, const int64_t *offsets,
             int64_t cc = c[lane];
             int64_t k = 0;
             for (; k < n && cc < c_star; k++)
-                cc = disco_step(cc, volume ? pl[k] : 1.0, u[ui++], ln_b,
-                                bm1, max_value, sat);
-            double inv = exp(-(double)cc * ln_b);
+                cc = disco_step(&L, cc, volume ? pl[k] : 1.0, u[ui++],
+                                &sat, &fallbacks);
+            double inv = 0.0;
+            int stale = 1;
             for (; k < n; k++) {
+                if (stale) {
+                    if ((uint64_t)cc < (uint64_t)tabn) {
+                        inv = binv[cc];
+                    } else {
+                        fallbacks++;
+                        inv = exp(-(double)cc * ln_b);
+                    }
+                    stale = 0;
+                }
                 double l = volume ? pl[k] : 1.0;
                 if (u[ui++] < l * inv) {
                     if (max_value >= 0.0 && (double)cc >= max_value) {
-                        (*sat)++;
+                        sat++;
                     } else {
                         cc++;
-                        inv = exp(-(double)cc * ln_b);
+                        stale = 1;
                     }
                 }
             }
             c[lane] = cc;
         }
     }
+    *sat_out += sat;
+    *fb_out += fallbacks;
 }
 
 /* ---------------- ANLS-II: geometric-jump sampling ---------------- */
@@ -654,6 +761,12 @@ _warned = False
 #: by NumPy so table lookups bit-match the vector path's ``np.exp``.
 _TABLES: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
 
+#: Per-``b`` DISCO step tables ``(bpow, binv, em1)``: ``b^c``, ``b^-c``
+#: and ``b^d - 1``, built in C by ``repro_disco_tables`` with the libm
+#: calls the direct step makes, so lookups return the same bits.
+#: Grow-only: a longer table serves every shorter need.
+_DISCO_TABLES: Dict[float, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
 
 def disabled() -> bool:
     """Whether the ``REPRO_DISABLE_NATIVE`` kill-switch is set."""
@@ -704,18 +817,47 @@ def _self_check_cc(lib: ctypes.CDLL) -> Optional[ctypes.CDLL]:
         # DISCO tail, b = 2, size mode, three packets from c = 0: the
         # general step at c = 0 advances surely (p = 1), then the dwell
         # compares u < 2^-c: 0.25 < 1/2 advances, 0.3 < 1/4 does not.
+        # (Every array handed to C is bound to a name first: a pointer
+        # to a temporary dangles once the temporary is collected.)
         u = np.array([0.5, 0.25, 0.3], dtype=np.float64)
         c = np.zeros(1, dtype=np.int64)
         sat = np.zeros(1, dtype=np.int64)
-        lib.repro_disco_tail(_p(lengths), _p(offsets),
-                             _p(np.array([3], dtype=np.int64)),
+        fallbacks = np.zeros(1, dtype=np.int64)
+        three = np.array([3], dtype=np.int64)
+        ln_2 = math.log(2.0)
+        tables = _build_disco_tables(lib, ln_2, 8)
+        lib.repro_disco_tail(_p(lengths), _p(offsets), _p(three),
                              ctypes.c_int64(1), ctypes.c_int64(0),
                              ctypes.c_int64(1), ctypes.c_int64(0), _p(u),
-                             ctypes.c_double(2.0),
-                             ctypes.c_double(math.log(2.0)),
-                             ctypes.c_double(-1.0), _p(c), _p(sat))
+                             ctypes.c_double(2.0), ctypes.c_double(ln_2),
+                             ctypes.c_double(-1.0), *map(_p, tables),
+                             ctypes.c_int64(0), _p(c), _p(sat),
+                             _p(fallbacks))
         if int(c[0]) != 2 or int(sat[0]) != 0:
             return None
+        # DISCO columns, b = 2, volume mode, one lane from c = 0:
+        #   l = 3:  headroom log2(4) = 2, delta = 1, p = (3 - 1)/2 = 1 -> 2
+        #   l = 1:  shortcut (1/4 < 1), p = 1/4 > u = 0.2            -> 3
+        #   l = 8:  x = 1, headroom 1, delta = 0, p = 8/8 = 1         -> 4
+        #   l = 40: headroom log2(3.5), delta = 1,
+        #           p = (40 - 16)/32 = 0.75 > u = 0.7                 -> 6
+        # through an 8-entry table and through a zero-length one (the
+        # direct step, one fallback per packet).
+        u = np.array([0.9, 0.2, 0.5, 0.7], dtype=np.float64)
+        lens = np.array([3.0, 1.0, 8.0, 40.0], dtype=np.float64)
+        start = np.zeros(1, dtype=np.int64)
+        actives = np.ones(4, dtype=np.int64)
+        for n in (8, 0):
+            c[0] = fallbacks[0] = 0
+            lib.repro_disco_columns(
+                _p(lens), _p(start), _p(actives), ctypes.c_int64(4),
+                ctypes.c_int64(1), ctypes.c_int64(1), _p(u),
+                ctypes.c_double(ln_2), ctypes.c_double(1.0),
+                ctypes.c_double(-1.0), *map(_p, tables),
+                ctypes.c_int64(n), _p(c), _p(sat), _p(fallbacks))
+            if int(c[0]) != 6 or int(sat[0]) != 0 \
+                    or int(fallbacks[0]) != (0 if n else 4):
+                return None
     except Exception:
         return None
     return lib
@@ -794,6 +936,51 @@ def _prob_tables(b: float, ln_b: float) -> Tuple[np.ndarray, np.ndarray]:
         hit = (ptab, ltab)
         with _lock:
             _TABLES[key] = hit
+    return hit
+
+
+def _build_disco_tables(lib: ctypes.CDLL, ln_b: float, n: int
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    tables = tuple(np.empty(n, dtype=np.float64) for _ in range(3))
+    lib.repro_disco_tables(ctypes.c_double(ln_b), ctypes.c_int64(n),
+                           *map(_p, tables))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _disco_tables(lib: ctypes.CDLL, kernel, compiled, volume: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The DISCO step tables for ``kernel.b``, long enough for this replay.
+
+    A counter carried in at ``c0`` that counts ``V`` more reads about
+    ``c0 + log_b(1 + (b-1) V)``; DISCO's estimate is unbiased with a
+    coefficient of variation below ``sqrt((b-1)/(b+1))``
+    (:func:`repro.core.analysis.cov_bound`), so the tables cover the
+    largest carried counter plus the largest flow volume (packet count
+    in size mode) read eight of those above its mean, plus 2 for the
+    final step's overshoot.  The length stays where ``b^c`` is finite
+    and, with a capacity, below ``max_value + 2``; steps past the end
+    take the direct step.  A miss doubles the cached length (up to those
+    bounds), so a stream's slowly growing counters rebuild rarely.
+    """
+    b, ln_b = kernel.b, kernel._ln_b
+    lanes = compiled.num_flows * kernel.replicas
+    carried = int(kernel.state.counters[:lanes].max(initial=0))
+    v_max = (int(compiled.volumes.max(initial=0)) if volume
+             else compiled.max_flow_packets)
+    v_top = v_max * (1.0 + 8.0 * math.sqrt((b - 1.0) / (b + 1.0)))
+    limit = min(int(709.0 / ln_b), _TABLE_CAP)
+    if kernel.max_value is not None:
+        limit = min(limit, kernel.max_value + 2)
+    need = min(carried + int(math.ceil(math.log1p((b - 1.0) * v_top) / ln_b))
+               + 2, limit)
+    with _lock:
+        hit = _DISCO_TABLES.get(b)
+        if hit is None or len(hit[0]) < need:
+            grown = 2 * len(hit[0]) if hit is not None else 0
+            hit = _build_disco_tables(lib, ln_b, max(need, min(grown, limit)))
+            _DISCO_TABLES[b] = hit
     return hit
 
 
@@ -942,6 +1129,14 @@ def disco_runner(kernel):
     stream).  Rows without packets draw nothing, so a replay over only a
     shard's touched rows consumes the same stream as one over the whole
     slice.
+
+    Both calls read exact power tables (:func:`_disco_tables`) instead
+    of calling ``exp``/``expm1`` per packet, and skip ``log1p`` where
+    ``l * b^-c < 1 - 1e-6`` forces ``delta = 0``; the tables hold the
+    bits libm returns, so counters equal the all-libm step's.  Steps
+    past the table end call libm and are counted in
+    ``kernel.table_fallbacks`` (telemetry
+    ``kernel.disco.table_fallbacks``).
     """
     _probe()
     cc = _cc
@@ -955,16 +1150,18 @@ def disco_runner(kernel):
         actives, columns, t_end = _geometry(compiled, R, min_lanes)
         total = int(actives[:t_end].sum()) * R
         u = gen.random(total)
-        sat = np.zeros(1, dtype=np.int64)
+        events = np.zeros(2, dtype=np.int64)  # saturations, fallbacks
         max_value = -1.0 if kernel.max_value is None \
             else float(kernel.max_value)
-        counters = kernel.state.counters
+        tables = _disco_tables(cc, kernel, compiled, volume)
+        law = (ctypes.c_double(max_value), *map(_p, tables),
+               ctypes.c_int64(len(tables[0])), _p(kernel.state.counters),
+               _p(events[0:1]), _p(events[1:2]))
         cc.repro_disco_columns(
             _p(compiled.lengths), _p(compiled.offsets), _p(actives),
             ctypes.c_int64(t_end), ctypes.c_int64(R),
             ctypes.c_int64(volume), _p(u), ctypes.c_double(kernel._ln_b),
-            ctypes.c_double(kernel.b - 1.0), ctypes.c_double(max_value),
-            _p(counters), _p(sat))
+            ctypes.c_double(kernel.b - 1.0), *law)
         tail_packets = tail_flows = 0
         tail_seconds = 0.0
         if t_end < columns:
@@ -980,10 +1177,10 @@ def disco_runner(kernel):
                 _p(compiled.sizes), ctypes.c_int64(tail_flows),
                 ctypes.c_int64(t_end), ctypes.c_int64(R),
                 ctypes.c_int64(volume), _p(u), ctypes.c_double(kernel.b),
-                ctypes.c_double(kernel._ln_b), ctypes.c_double(max_value),
-                _p(counters), _p(sat))
+                ctypes.c_double(kernel._ln_b), *law)
             tail_seconds = time.perf_counter() - start
-        kernel.saturation_events += int(sat[0])
+        kernel.saturation_events += int(events[0])
+        kernel.table_fallbacks += int(events[1])
         return NativeStats(t_end, tail_packets, tail_flows, tail_seconds)
 
     return run

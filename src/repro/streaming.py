@@ -93,6 +93,7 @@ from repro.core.batchreplay import run_kernel
 from repro.core.kernels import KernelState, kernel_scheme_names, kernel_spec
 from repro.errors import ParameterError
 from repro.flows.hashing import fnv1a64_int64, stable_hash
+from repro.schemes import SchemeFactory
 from repro.traces.compiled import CompiledTrace, compile_trace
 from repro.traces.trace import Trace
 
@@ -455,7 +456,12 @@ class StreamSession:
                 ) from None
 
         self.scheme_factory = scheme_factory
-        self.scheme_name = getattr(scheme, "name", type(scheme).__name__)
+        # A registry factory names the scheme as ``make_scheme`` and
+        # ``--scheme`` spell it ("anls2", where the sketch says "anls-2").
+        self.scheme_name = (scheme_factory.name
+                            if isinstance(scheme_factory, SchemeFactory)
+                            else getattr(scheme, "name",
+                                         type(scheme).__name__))
         self.mode = spec.mode
         self._spec = spec
         #: Replay only the chunk's keys (see ``SchemeKernel.lane_local``).

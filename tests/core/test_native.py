@@ -1,6 +1,6 @@
 """Tests for the compiled native backend (``repro.core.native``).
 
-Three groups, mirroring the backend's contract:
+Four groups, mirroring the backend's contract:
 
 * **Bit-identity** — kernels whose native path consumes the same
   pre-drawn uniform stream as the vector path (exact, ANLS, ANLS-I,
@@ -9,6 +9,9 @@ Three groups, mirroring the backend's contract:
   data-dependent number of uniforms (DISCO, SAC, ANLS-II, SD, ICE)
   follow the same law on a different stream; their error statistics
   must agree with the vector engine's.
+* **Exact tables** — native DISCO's table-driven step must give the
+  same counters and saturations as its direct (all-libm) step,
+  reached through a zero-length table.
 * **Fallback** — without the C provider (no C compiler, or
   ``REPRO_DISABLE_NATIVE=1``) the backend must warn once, run the
   vector path, and produce identical results; ``engine="auto"`` must
@@ -19,6 +22,8 @@ identity/distributional groups skip and the fallback group still runs
 (``make test-nonative`` exercises exactly that configuration).
 """
 
+import ctypes
+import math
 import subprocess
 import sys
 import warnings
@@ -291,6 +296,154 @@ class TestDiscoNativeTail:
         total = (timers["batch.columnar_phase"]["seconds"]
                  + timers["batch.tail_phase"]["seconds"])
         assert total == pytest.approx(result.elapsed_seconds)
+
+
+# ---------------------------------------------------------------------------
+# DISCO's exact power tables vs the direct (all-libm) step
+# ---------------------------------------------------------------------------
+
+def disco_c(lengths, sizes, b, volume, tabn, carried=0, max_value=None,
+            seed=0, t_end=None, u_scale=1.0):
+    """Run ``repro_disco_columns`` then ``repro_disco_tail`` over one
+    CSR batch (flows sorted by descending size; ``t_end`` columns, by
+    default half, in the column phase) through ``tabn``-entry tables,
+    on uniforms drawn from ``[0, u_scale)``.
+
+    Returns ``(counters, saturation_events, fallbacks)``.
+    """
+    cc = native._cc
+    ln_b = math.log(b)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    columns = int(sizes[0])
+    actives = np.array([(sizes > t).sum() for t in range(columns)],
+                       dtype=np.int64)
+    if t_end is None:
+        t_end = columns // 2
+    tail_flows = int(actives[t_end]) if t_end < columns else 0
+    tail_packets = int(sizes[:tail_flows].sum()) - tail_flows * t_end
+    gen = np.random.default_rng(seed)
+    u_cols = gen.random(int(actives[:t_end].sum())) * u_scale
+    u_tail = gen.random(tail_packets) * u_scale
+    counters = np.array(np.broadcast_to(carried, len(sizes)),
+                        dtype=np.int64)
+    events = np.zeros(2, dtype=np.int64)
+    tables = native._build_disco_tables(cc, ln_b, tabn)
+    law = (ctypes.c_double(-1.0 if max_value is None else max_value),
+           *map(native._p, tables), ctypes.c_int64(tabn),
+           native._p(counters), native._p(events[0:1]),
+           native._p(events[1:2]))
+    cc.repro_disco_columns(
+        native._p(lengths), native._p(offsets), native._p(actives),
+        ctypes.c_int64(t_end), ctypes.c_int64(1), ctypes.c_int64(volume),
+        native._p(u_cols), ctypes.c_double(ln_b), ctypes.c_double(b - 1.0),
+        *law)
+    cc.repro_disco_tail(
+        native._p(lengths), native._p(offsets), native._p(sizes),
+        ctypes.c_int64(tail_flows), ctypes.c_int64(t_end), ctypes.c_int64(1),
+        ctypes.c_int64(volume), native._p(u_tail), ctypes.c_double(b),
+        ctypes.c_double(ln_b), *law)
+    return counters, int(events[0]), int(events[1])
+
+
+@pytest.fixture(scope="module")
+def disco_batch():
+    """Seeded CSR batch: 40 flows of 1..300 packets, 40..1500 bytes."""
+    gen = np.random.default_rng(12)
+    sizes = np.sort(gen.integers(1, 300, size=40))[::-1].copy()
+    sizes[0] = 300
+    lengths = gen.integers(40, 1501, size=int(sizes.sum())).astype(np.float64)
+    return lengths, sizes
+
+
+def table_len(b, v_max):
+    return int(math.ceil(math.log1p((b - 1.0) * 2 * v_max)
+                         / math.log(b))) + 2
+
+
+@needs_native
+class TestDiscoTables:
+    """The table step is bit-identical to the direct step it replaces."""
+
+    def assert_same(self, batch, b, volume, tabn, **kwargs):
+        lengths, sizes = batch
+        with_tab = disco_c(lengths, sizes, b, volume, tabn, **kwargs)
+        direct = disco_c(lengths, sizes, b, volume, 0, **kwargs)
+        assert np.array_equal(with_tab[0], direct[0])
+        assert with_tab[1] == direct[1]
+        assert direct[2] >= with_tab[2]
+        return with_tab + (direct[2],)
+
+    @pytest.mark.parametrize("b", [1.0005, 1.002, 1.02, 1.08])
+    @pytest.mark.parametrize("volume", [1, 0])
+    def test_equal_counters(self, disco_batch, b, volume):
+        lengths, sizes = disco_batch
+        v_max = lengths[:sizes[0]].sum() if volume else sizes[0]
+        counters, _, fallbacks, _ = self.assert_same(
+            disco_batch, b, volume, table_len(b, v_max), seed=volume)
+        assert fallbacks == 0
+        assert counters.max() > 0
+
+    @pytest.mark.parametrize("volume", [1, 0])
+    def test_capacity_saturates_identically(self, disco_batch, volume):
+        max_value = 63 if volume else 7
+        _, sat, _, _ = self.assert_same(disco_batch, 1.08, volume,
+                                     max_value + 2, max_value=max_value)
+        assert sat > 0
+
+    def test_carried_counters_past_the_table_end(self, disco_batch):
+        # Every counter starts past the end, so every lookup falls back.
+        counters, _, fallbacks, direct = self.assert_same(
+            disco_batch, 1.02, 1, 100, carried=150)
+        assert fallbacks == direct > 0
+        assert counters.min() >= 150
+
+    @pytest.mark.parametrize("tabn", [180, 260, 400])
+    def test_steps_crossing_the_table_end(self, disco_batch, tabn):
+        # From c = 0 a 1500-byte packet jumps ~170 counter values at
+        # b = 1.02, so short tables force c + delta past their end.
+        counters, _, fallbacks, direct = self.assert_same(
+            disco_batch, 1.02, 1, tabn)
+        assert 0 < fallbacks < direct
+        assert counters.max() >= tabn - 2
+
+    @pytest.mark.parametrize("b", [1.02, 2.0])
+    @pytest.mark.parametrize("t_end", [1, 0])
+    def test_decision_boundaries(self, b, t_end):
+        # One packet per lane, within a relative 1e-9..1e-3 of a length
+        # where delta changes (y = (b-1) l b^-c at b^k - 1; k = 1 is the
+        # shortcut's edge), on small uniforms so that a wrong delta or
+        # p moves the counter.  t_end = 1 runs the column phase, 0 the
+        # tail's general and dwell regimes.
+        gen = np.random.default_rng(5)
+        n = 4000
+        c0 = gen.integers(0, 60, size=n)
+        k = gen.integers(1, 5, size=n)
+        rel = gen.choice([-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3],
+                         size=n)
+        lengths = b ** c0 * (b ** k - 1.0) / (b - 1.0) * (1.0 + rel)
+        self.assert_same((lengths, np.ones(n, dtype=np.int64)), b, 1, 300,
+                         carried=c0, t_end=t_end, u_scale=1e-3)
+
+    def test_bench_trace_takes_no_fallback(self):
+        import repro
+
+        trace = compile_trace(repro.make_trace(
+            "nlanr", num_flows=100_000, mean_flow_bytes=10_000,
+            max_flow_bytes=1_000_000, seed=1))
+        spec = kernel_spec(make_scheme("disco", b=B, mode="volume"))
+        result = run_kernel(trace, spec.factory, mode=spec.mode, rng=1,
+                            engine="native", telemetry=obs.Telemetry())
+        assert result.tail_packets > 0 and result.vector_steps > 0
+        assert result.kernel.table_fallbacks == 0
+        assert "kernel.disco.table_fallbacks" \
+            not in result.telemetry["counters"]
+
+    def test_fallbacks_surface_in_telemetry(self):
+        kernel = kernel_spec(make_scheme("disco", b=B)).factory(
+            1, np.random.default_rng(0), 1)
+        kernel.table_fallbacks = 3
+        assert kernel.telemetry_events()["kernel.disco.table_fallbacks"] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,9 @@ class TestServeSocketSizing:
         argv = ["serve", "--feed", "socket", "--scheme", scheme,
                 "--mode", mode, "--chunk-packets", "64"] + watermark
         assert main(argv) == 0
-        assert "packets=3" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "packets=3" in out
+        assert f"drained: scheme={scheme} " in out
         (daemon,) = started
         assert daemon.feed.name == "socket"  # never bound
         assert dict(daemon.session.scheme_factory.params)["max_length"] \
